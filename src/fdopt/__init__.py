@@ -9,31 +9,31 @@ from .estimators import (CfdConfig, CoordDiagnostics, CorCfdConfig,
                          DegenerateInputError, GradientEstimate, cfd_batch,
                          cfd_pair, cor_cfd_coordinate, cor_cfd_gradient,
                          optimal_c, sample_pilot_perturbations)
-from .harness import (ALGORITHMS, CorCfdGdParams, ExperimentConfig, GridSpec,
-                      ReplicationResult, SpsaParams, grid_search_spsa,
-                      load_config, replication_seed, run_replications)
+from .harness import (ALGORITHMS, ExperimentConfig, GridSpec, ReplicationResult,
+                      SpsaParams, grid_search_spsa, load_config,
+                      replication_seed, run_replications, run_trajectory)
 from .metrics import (ReplicationSummary, optimality_gap,
                       oscillation_settle_index, oscillatory_period,
                       percentiles, rmse, solution_gap)
-from .optimizers import (ArmijoParams, BudgetLedger, ConfigurationError,
-                         GainSchedule, Trajectory, armijo_search,
-                         batch_schedule, cor_cfd_gd_run, kw_run, spsa_run)
-from .oracle import (BoxDomain, NoisyOracle, TestFunction, TEST_FUNCTION_IDS,
-                     fn213_mean, get_test_function, project)
+from .optimizers import (ArmijoParams, ConfigurationError, GainSchedule,
+                         Trajectory, armijo_search, batch_schedule,
+                         cor_cfd_gd_run, kw_run, spsa_run)
+from .oracle import (BoxDomain, NoisyOracle, TestFunction, fn213_mean,
+                     get_test_function)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALGORITHMS", "ArmijoParams", "BoxDomain", "BudgetLedger", "CfdConfig",
-    "ConfigurationError", "CoordDiagnostics", "CorCfdConfig", "CorCfdGdParams",
+    "ALGORITHMS", "ArmijoParams", "BoxDomain", "CfdConfig",
+    "ConfigurationError", "CoordDiagnostics", "CorCfdConfig",
     "DegenerateInputError", "ExperimentConfig", "GainSchedule",
     "GradientEstimate", "GridSpec", "NoisyOracle", "ReplicationResult",
-    "ReplicationSummary", "SpsaParams", "TestFunction", "TEST_FUNCTION_IDS",
-    "Trajectory", "armijo_search", "batch_schedule", "cfd_batch", "cfd_pair",
+    "ReplicationSummary", "SpsaParams", "TestFunction", "Trajectory",
+    "armijo_search", "batch_schedule", "cfd_batch", "cfd_pair",
     "cor_cfd_coordinate", "cor_cfd_gd_run", "cor_cfd_gradient", "fn213_mean",
     "get_test_function", "grid_search_spsa", "kw_run", "load_config",
     "optimal_c", "optimality_gap", "oscillation_settle_index",
-    "oscillatory_period", "percentiles", "project", "replication_seed",
-    "rmse", "run_replications", "sample_pilot_perturbations", "solution_gap",
-    "spsa_run",
+    "oscillatory_period", "percentiles", "replication_seed", "rmse",
+    "run_replications", "run_trajectory", "sample_pilot_perturbations",
+    "solution_gap", "spsa_run",
 ]

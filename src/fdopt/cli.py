@@ -18,8 +18,10 @@ import numpy as np
 from . import metrics
 from .estimators import cor_cfd_gradient
 from .harness import (ExperimentConfig, apply_profile, grid_search_spsa,
-                      load_config, replication_seed, run_replications)
-from .optimizers import ConfigurationError, cor_cfd_gd_run, kw_run, spsa_run
+                      load_config, replication_seed, run_replications,
+                      run_trajectory)
+# The runners stay bound here because perfbench/layers.py patches them by name.
+from .optimizers import ConfigurationError, cor_cfd_gd_run, kw_run, spsa_run  # noqa: F401
 from .oracle import NoisyOracle, get_test_function
 
 
@@ -47,38 +49,14 @@ def _load(args) -> ExperimentConfig:
     return apply_profile(config, args.profile)
 
 
-def _single_trajectory(config: ExperimentConfig, algorithm: str, sigma: float):
-    """One seeded run of ``algorithm`` at noise level ``sigma`` (replication 0)."""
-    fn = get_test_function(config.function, config.dimension)
-    try:
-        sigma_index = config.noise_levels.index(sigma)
-    except ValueError:
-        sigma_index = 0
-    oracle_seed, algo_seed = replication_seed(
-        config.master_seed, algorithm, sigma_index, 0).spawn(2)
-    oracle = NoisyOracle(fn.mean_fn, fn.dimension, sigma, oracle_seed)
-    rng = np.random.default_rng(algo_seed)
-    budget = config.largest_budget
-    if algorithm == "kw":
-        traj = kw_run(oracle, config.domain, float(config.x0[0]), config.kw, budget)
-    elif algorithm == "spsa":
-        traj = spsa_run(oracle, config.domain, config.x0,
-                        config.spsa.schedule(budget), budget, rng)
-    else:
-        p = config.corcfd
-        traj = cor_cfd_gd_run(oracle, config.domain, config.x0,
-                              p.estimator_config(), p.armijo_params(),
-                              p.n0, p.R, budget, rng)
-    return fn, traj
-
-
 def cmd_run(args) -> int:
     """Write `trajectory.csv`: one row per produced iterate of a single run."""
     config = _load(args)
     if config.algorithm is None:
         raise ConfigurationError("`run` needs `algorithm` in the [experiment] section")
     sigma = config.run_sigma if config.run_sigma is not None else config.noise_levels[0]
-    fn, traj = _single_trajectory(config, config.algorithm, sigma)
+    fn, traj = run_trajectory(config, config.algorithm,
+                              config.noise_levels.index(sigma), rep=0)
 
     header = (["iter", "pairs_used"] + [f"x_{i + 1}" for i in range(fn.dimension)]
               + ["solution_gap", "optimality_gap"])
@@ -150,8 +128,7 @@ def cmd_estimate(args) -> int:
     oracle = NoisyOracle(fn.mean_fn, fn.dimension, est.sigma, oracle_seed)
     rng = np.random.default_rng(algo_seed)
     try:
-        cfg = replace(config.corcfd.estimator_config(), batch_pairs=est.n,
-                      pilot_count=config.corcfd.R)
+        cfg = replace(config.corcfd, batch_pairs=est.n)
     except ValueError as exc:
         raise ConfigurationError(f"invalid [estimate]/[corcfd] combination: {exc}")
     grad = cor_cfd_gradient(oracle, est.point, cfg, rng)

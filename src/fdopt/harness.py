@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import configparser
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
-from pathlib import Path
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -53,31 +52,6 @@ class SpsaParams:
 
 
 @dataclass(frozen=True)
-class CorCfdGdParams:
-    """Cor-CFD-GD block: estimator settings plus line-search constants."""
-
-    n0: int = 20
-    R: int = 10
-    c_base: float = 1.0
-    pilot_spread: float = 0.5
-    bootstrap_reps: int = 200
-    l1: float = 1e-4
-    l2: float = 0.5
-    a0: float = 1.0
-    max_backtracks: int = 30
-
-    def estimator_config(self) -> CorCfdConfig:
-        return CorCfdConfig(pilot_count=self.R, batch_pairs=self.n0,
-                            base_perturbation=self.c_base,
-                            pilot_spread=self.pilot_spread,
-                            bootstrap_reps=self.bootstrap_reps)
-
-    def armijo_params(self) -> ArmijoParams:
-        return ArmijoParams(l1=self.l1, l2=self.l2, a0=self.a0,
-                            max_backtracks=self.max_backtracks)
-
-
-@dataclass(frozen=True)
 class EstimateParams:
     """Inputs of a single standalone gradient-estimation call."""
 
@@ -91,7 +65,8 @@ class ExperimentConfig:
     """One benchmark cell family: a function, noise levels, and algorithm blocks.
 
     ``checkpoints`` are listed pair budgets; for ``fn213`` the effective
-    budgets are the listed values times the dimension.
+    budgets are the listed values times the dimension. Cor-CFD-GD starts at
+    batch ``corcfd.batch_pairs`` with ``corcfd.pilot_count`` pilots.
     """
 
     function: str
@@ -104,7 +79,8 @@ class ExperimentConfig:
     master_seed: int
     kw: GainSchedule = field(default_factory=GainSchedule.kw)
     spsa: SpsaParams = field(default_factory=SpsaParams)
-    corcfd: CorCfdGdParams = field(default_factory=CorCfdGdParams)
+    corcfd: CorCfdConfig = field(default_factory=CorCfdConfig)
+    armijo: ArmijoParams = field(default_factory=ArmijoParams)
     grid: GridSpec | None = None
     algorithm: str | None = None            # `run` subcommand
     algorithms: tuple[str, ...] = ()        # `bench` subcommand
@@ -128,6 +104,9 @@ class ExperimentConfig:
         for alg in self.algorithms:
             if alg not in ALGORITHMS:
                 raise ConfigurationError(f"unknown algorithm {alg!r}")
+        if self.run_sigma is not None and self.run_sigma not in self.noise_levels:
+            raise ConfigurationError(
+                f"sigma {self.run_sigma!r} is not one of noise_levels {self.noise_levels}")
         # Fails early on bad function/dimension combinations.
         fn = get_test_function(self.function, self.dimension)
         if self.x0.shape[0] != fn.dimension:
@@ -174,36 +153,43 @@ def replication_seed(master_seed: int, algorithm: str, sigma_index: int,
         [int(master_seed), _ALGO_SEED_ID[algorithm], int(sigma_index), int(rep)])
 
 
-def _run_single_replication(config: ExperimentConfig, algorithm: str,
-                            sigma_index: int, rep: int,
-                            spsa_override: SpsaParams | None = None):
+def run_trajectory(config: ExperimentConfig, algorithm: str, sigma_index: int,
+                   rep: int):
+    """One seeded run of ``algorithm`` to the largest budget; returns ``(fn, traj)``.
+
+    This is the only place that maps an algorithm name to its optimizer loop.
+    """
+    fn = get_test_function(config.function, config.dimension)
+    oracle_seed, algo_seed = replication_seed(
+        config.master_seed, algorithm, sigma_index, rep).spawn(2)
+    oracle = NoisyOracle(fn.mean_fn, fn.dimension, config.noise_levels[sigma_index],
+                         oracle_seed)
+    rng = np.random.default_rng(algo_seed)
+    budget = config.largest_budget
+    # Call the runners by their module-level names, not through a table built
+    # at import: perfbench/layers.py traces runs by rebinding those names.
+    if algorithm == "kw":
+        traj = kw_run(oracle, config.domain, float(config.x0[0]), config.kw, budget)
+    elif algorithm == "spsa":
+        traj = spsa_run(oracle, config.domain, config.x0,
+                        config.spsa.schedule(budget), budget, rng)
+    elif algorithm == "corcfd":
+        c = config.corcfd
+        traj = cor_cfd_gd_run(oracle, config.domain, config.x0, c, config.armijo,
+                              c.batch_pairs, c.pilot_count, budget, rng)
+    else:
+        raise ConfigurationError(f"unknown algorithm {algorithm!r}")
+    return fn, traj
+
+
+def _replication_gaps(config: ExperimentConfig, algorithm: str, sigma_index: int,
+                      rep: int):
     """Run one replication to the largest budget; return per-checkpoint gaps.
 
     Returns ``(solution_gaps, optimality_gaps, settle_index)`` where the
     settle index is the boundary-oscillation statistic (1-d runs only).
     """
-    fn = get_test_function(config.function, config.dimension)
-    sigma = config.noise_levels[sigma_index]
-    oracle_seed, algo_seed = replication_seed(
-        config.master_seed, algorithm, sigma_index, rep).spawn(2)
-    oracle = NoisyOracle(fn.mean_fn, fn.dimension, sigma, oracle_seed)
-    rng = np.random.default_rng(algo_seed)
-    budget = config.largest_budget
-
-    if algorithm == "kw":
-        traj = kw_run(oracle, config.domain, float(config.x0[0]), config.kw, budget)
-    elif algorithm == "spsa":
-        params = spsa_override if spsa_override is not None else config.spsa
-        traj = spsa_run(oracle, config.domain, config.x0,
-                        params.schedule(budget), budget, rng)
-    elif algorithm == "corcfd":
-        p = config.corcfd
-        traj = cor_cfd_gd_run(oracle, config.domain, config.x0,
-                              p.estimator_config(), p.armijo_params(),
-                              p.n0, p.R, budget, rng)
-    else:
-        raise ConfigurationError(f"unknown algorithm {algorithm!r}")
-
+    fn, traj = run_trajectory(config, algorithm, sigma_index, rep)
     sol = np.empty(len(config.effective_checkpoints))
     opt = np.empty(len(config.effective_checkpoints))
     for i, pairs in enumerate(config.effective_checkpoints):
@@ -226,8 +212,7 @@ def _pool_map(workers: int, fn, tasks):
         return [f.result() for f in futures]
 
 
-def run_replications(config: ExperimentConfig, algorithm: str,
-                     spsa_override: SpsaParams | None = None) -> list[ReplicationResult]:
+def run_replications(config: ExperimentConfig, algorithm: str) -> list[ReplicationResult]:
     """Run all (noise level, replication) cells for one algorithm and aggregate.
 
     Aggregation is a symmetric reduce over replication indices, so permuting
@@ -237,9 +222,9 @@ def run_replications(config: ExperimentConfig, algorithm: str,
         raise ConfigurationError(f"unknown algorithm {algorithm!r}")
     results = []
     for sigma_index, sigma in enumerate(config.noise_levels):
-        tasks = [(config, algorithm, sigma_index, rep, spsa_override)
+        tasks = [(config, algorithm, sigma_index, rep)
                  for rep in range(config.replications)]
-        outcomes = _pool_map(config.workers, _run_single_replication, tasks)
+        outcomes = _pool_map(config.workers, _replication_gaps, tasks)
         sol = np.stack([o[0] for o in outcomes])
         opt = np.stack([o[1] for o in outcomes])
         settles = [o[2] for o in outcomes]
@@ -271,8 +256,8 @@ def grid_search_spsa(config: ExperimentConfig, grid: GridSpec) -> GridSearchResu
     best = None
     for a in grid.a_values:
         for c in grid.c_values:
-            override = SpsaParams(a=a, c=c, A=config.spsa.A)
-            cell = run_replications(config, "spsa", spsa_override=override)
+            cell = run_replications(replace(config, spsa=replace(config.spsa, a=a, c=c)),
+                                    "spsa")
             cell_metrics = []
             for res in cell:
                 value = res.summary.rmse_optimality_gap[config.largest_budget]
@@ -306,8 +291,8 @@ def apply_profile(config: ExperimentConfig, profile: str) -> ExperimentConfig:
 # Config file parsing
 # ---------------------------------------------------------------------------
 
-def _split(raw: str) -> list[str]:
-    return raw.replace(",", " ").split()
+def _split(raw: str) -> tuple[str, ...]:
+    return tuple(raw.replace(",", " ").split())
 
 
 def _floats(raw: str) -> tuple[float, ...]:
@@ -316,6 +301,28 @@ def _floats(raw: str) -> tuple[float, ...]:
 
 def _ints(raw: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in _split(raw))
+
+
+# Every accepted config-file key with its value parser, per section; anything
+# else is rejected. Defaults live on the dataclasses the sections fill, except
+# the [experiment] defaults in `_config_from_parser`.
+_KEYS = {
+    "experiment": {"function": str, "dimension": int, "noise_levels": _floats,
+                   "x0": _floats, "lower": _floats, "upper": _floats,
+                   "checkpoints": _ints, "replications": int, "master_seed": int,
+                   "algorithm": str, "algorithms": _split, "sigma": float,
+                   "workers": int},
+    "kw": {"a": float, "c": float},
+    "spsa": {"a": float, "c": float, "A": float},
+    "corcfd": {"n0": int, "R": int, "c_base": float, "pilot_spread": float,
+               "bootstrap_reps": int, "l1": float, "l2": float, "a0": float,
+               "max_backtracks": int},
+    "grid": {"a_values": _floats, "c_values": _floats},
+    "estimate": {"point": _floats, "n": int, "sigma": float},
+}
+# [corcfd] keys named differently from their CorCfdConfig field; the keys
+# that name ArmijoParams fields fill the line search instead.
+_CORCFD_FIELDS = {"n0": "batch_pairs", "R": "pilot_count", "c_base": "base_perturbation"}
 
 
 def _tile(values: tuple[float, ...], dimension: int, what: str) -> np.ndarray:
@@ -341,67 +348,47 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigurationError(f"invalid config {path}: {exc}") from exc
 
 
+def _read_sections(parser: configparser.ConfigParser) -> dict[str, dict]:
+    """Parse every key through ``_KEYS``, naming any unknown section or key."""
+    unknown = [f"[{name}]" for name in parser.sections() if name not in _KEYS]
+    unknown += [f"[{name}] {key}" for name in parser.sections() if name in _KEYS
+                for key in parser[name] if key not in _KEYS[name]]
+    if unknown:
+        raise ConfigurationError(f"unknown config entries: {', '.join(unknown)}")
+    return {name: {key: _KEYS[name][key](raw) for key, raw in parser[name].items()}
+            for name in parser.sections()}
+
+
 def _config_from_parser(parser: configparser.ConfigParser) -> ExperimentConfig:
-    exp = parser["experiment"]
-    function = exp.get("function")
-    if function is None:
+    sections = _read_sections(parser)
+    exp = sections.get("experiment", {})
+    if "function" not in exp:
         raise ConfigurationError("[experiment] must set `function`")
-    dimension = exp.getint("dimension", fallback=1)
-    noise_levels = _floats(exp.get("noise_levels", "1"))
-    x0 = _tile(_floats(exp.get("x0", "0")), dimension, "x0")
-    lower = _tile(_floats(exp.get("lower", "-50")), dimension, "lower")
-    upper = _tile(_floats(exp.get("upper", "50")), dimension, "upper")
-    checkpoints = _ints(exp.get("checkpoints", "100 1000 10000"))
-    replications = exp.getint("replications", fallback=1)
-    master_seed = exp.getint("master_seed", fallback=0)
-    algorithm = exp.get("algorithm", fallback=None)
-    algorithms = tuple(_split(exp.get("algorithms", "")))
-    run_sigma = exp.getfloat("sigma", fallback=None)
-    workers = exp.getint("workers", fallback=1)
+    dimension = exp.get("dimension", 1)
 
-    kw = GainSchedule.kw()
-    if parser.has_section("kw"):
-        sec = parser["kw"]
-        kw = GainSchedule.kw(a=sec.getfloat("a", 1.0), c=sec.getfloat("c", 1.0))
+    corcfd = {_CORCFD_FIELDS.get(k, k): v for k, v in sections.get("corcfd", {}).items()}
+    armijo = {f.name: corcfd.pop(f.name) for f in fields(ArmijoParams)
+              if f.name in corcfd}
 
-    spsa = SpsaParams()
-    if parser.has_section("spsa"):
-        sec = parser["spsa"]
-        spsa = SpsaParams(a=sec.getfloat("a", 1e-9), c=sec.getfloat("c", 2.0),
-                          A=sec.getfloat("A", fallback=None))
+    grid = sections.get("grid")
+    if grid is not None:
+        grid = GridSpec(grid.get("a_values", ()), grid.get("c_values", ()))
 
-    corcfd = CorCfdGdParams()
-    if parser.has_section("corcfd"):
-        sec = parser["corcfd"]
-        corcfd = CorCfdGdParams(
-            n0=sec.getint("n0", 20), R=sec.getint("R", 10),
-            c_base=sec.getfloat("c_base", 1.0),
-            pilot_spread=sec.getfloat("pilot_spread", 0.5),
-            bootstrap_reps=sec.getint("bootstrap_reps", 200),
-            l1=sec.getfloat("l1", 1e-4), l2=sec.getfloat("l2", 0.5),
-            a0=sec.getfloat("a0", 1.0),
-            max_backtracks=sec.getint("max_backtracks", 30))
-    # surface invalid block combinations at load time, not mid-run
-    corcfd.estimator_config()
-    corcfd.armijo_params()
-
-    grid = None
-    if parser.has_section("grid"):
-        sec = parser["grid"]
-        grid = GridSpec(a_values=_floats(sec.get("a_values", "")),
-                        c_values=_floats(sec.get("c_values", "")))
-
-    estimate = None
-    if parser.has_section("estimate"):
-        sec = parser["estimate"]
-        estimate = EstimateParams(
-            point=_tile(_floats(sec.get("point", "0")), dimension, "point"),
-            n=sec.getint("n", 1000),
-            sigma=sec.getfloat("sigma", 0.0))
+    estimate = sections.get("estimate")
+    if estimate is not None:
+        point = _tile(estimate.pop("point", (0.0,)), dimension, "point")
+        estimate = EstimateParams(point, **estimate)
 
     return ExperimentConfig(
-        function=function, dimension=dimension, noise_levels=noise_levels,
-        x0=x0, domain=BoxDomain(lower, upper), checkpoints=checkpoints,
-        replications=replications, master_seed=master_seed, kw=kw, spsa=spsa,
-        corcfd=corcfd, grid=grid, algorithm=algorithm, algorithms=algorithms,
-        run_sigma=run_sigma, estimate=estimate, workers=workers)
+        function=exp["function"], dimension=dimension,
+        noise_levels=exp.get("noise_levels", (1.0,)),
+        x0=_tile(exp.get("x0", (0.0,)), dimension, "x0"),
+        domain=BoxDomain(_tile(exp.get("lower", (-50.0,)), dimension, "lower"),
+                         _tile(exp.get("upper", (50.0,)), dimension, "upper")),
+        checkpoints=exp.get("checkpoints", (100, 1000, 10000)),
+        replications=exp.get("replications", 1), master_seed=exp.get("master_seed", 0),
+        kw=GainSchedule.kw(**sections.get("kw", {})),
+        spsa=SpsaParams(**sections.get("spsa", {})),
+        corcfd=CorCfdConfig(**corcfd), armijo=ArmijoParams(**armijo), grid=grid,
+        algorithm=exp.get("algorithm"), algorithms=exp.get("algorithms", ()),
+        run_sigma=exp.get("sigma"), estimate=estimate, workers=exp.get("workers", 1))

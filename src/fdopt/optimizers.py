@@ -3,7 +3,8 @@
 All loops drive a :class:`~fdopt.oracle.NoisyOracle` under a shared budget
 contract: the budget is a number of sample pairs, one pair equals two oracle
 evaluations, and every iterate is projected into the box domain and recorded
-together with the evaluation count at which it was produced.
+together with the evaluation count at which it was produced. The oracle's own
+evaluation counter is the only budget count.
 """
 
 from __future__ import annotations
@@ -45,24 +46,6 @@ class GainSchedule:
     def spsa(cls, a: float, c: float, A: float = 0.0) -> "GainSchedule":
         """Standard SPSA gains ``a_k = a/(A+k+1)^0.602``, ``c_k = c/(k+1)^0.101``."""
         return cls(a=a, c=c, A=A, a_exponent=0.602, c_exponent=0.101)
-
-
-@dataclass
-class BudgetLedger:
-    """Evaluation counter against a cap of ``2 * budget_pairs`` evaluations."""
-
-    cap: int
-    n_count: int = 0
-
-    def charge(self, evaluations: int) -> None:
-        self.n_count += evaluations
-
-    @property
-    def exhausted(self) -> bool:
-        return self.n_count >= self.cap
-
-    def can_afford(self, evaluations: int) -> bool:
-        return self.n_count + evaluations <= self.cap
 
 
 @dataclass
@@ -187,19 +170,18 @@ def kw_run(oracle: NoisyOracle, domain: BoxDomain, x0: float,
     lower = float(domain.lower[0])
     upper = float(domain.upper[0])
     x = min(max(float(x0), lower), upper)
-    ledger = BudgetLedger(cap=2 * budget_pairs)
+    start = oracle.eval_counter
     iterates = [(0, np.array([x]), 0)]
     k = 0
-    while not ledger.exhausted:
+    while oracle.eval_counter - start < 2 * budget_pairs:
         k += 1
         a_k = schedule.a / (schedule.A + k) ** schedule.a_exponent
         c_k = schedule.c / k ** schedule.c_exponent
         y_plus = oracle.evaluate((x + c_k,))
         y_minus = oracle.evaluate((x - c_k,))
-        ledger.charge(2)
         g = (y_plus - y_minus) / (2.0 * c_k)
         x = min(max(x - a_k * g, lower), upper)
-        iterates.append((k, np.array([x]), ledger.n_count))
+        iterates.append((k, np.array([x]), oracle.eval_counter - start))
     return Trajectory(iterates)
 
 
@@ -216,20 +198,19 @@ def spsa_run(oracle: NoisyOracle, domain: BoxDomain, x0, schedule: GainSchedule,
         raise ValueError("budget must be at least one pair")
     x = domain.project(as_point(x0, oracle.dimension))
     d = oracle.dimension
-    ledger = BudgetLedger(cap=2 * budget_pairs)
+    start = oracle.eval_counter
     iterates = [(0, x.copy(), 0)]
     k = 0
-    while not ledger.exhausted:
+    while oracle.eval_counter - start < 2 * budget_pairs:
         k += 1
         a_k = schedule.a / (schedule.A + k + 1) ** schedule.a_exponent
         c_k = schedule.c / (k + 1) ** schedule.c_exponent
         delta = rng.integers(0, 2, size=d) * 2.0 - 1.0
         y_plus = oracle.evaluate(x + c_k * delta)
         y_minus = oracle.evaluate(x - c_k * delta)
-        ledger.charge(2)
         g = (y_plus - y_minus) / (2.0 * c_k) * delta
         x = domain.project(x - a_k * g)
-        iterates.append((k, x.copy(), ledger.n_count))
+        iterates.append((k, x.copy(), oracle.eval_counter - start))
     return Trajectory(iterates)
 
 
@@ -264,7 +245,6 @@ def cor_cfd_gd_run(oracle: NoisyOracle, domain: BoxDomain, x0, cfg: CorCfdConfig
             f"({d * n0} pairs)")
     x = domain.project(as_point(x0, d))
     start = oracle.eval_counter
-    ledger = BudgetLedger(cap=cap)
     iterates = [(0, x.copy(), 0)]
     ls_exhausted: list[int] = []
 
@@ -285,27 +265,25 @@ def cor_cfd_gd_run(oracle: NoisyOracle, domain: BoxDomain, x0, cfg: CorCfdConfig
 
     centers = np.full(d, cfg.base_perturbation * float(n0) ** -0.1)
     g = cor_cfd_gradient(oracle, x, replace(cfg, batch_pairs=n0, pilot_count=R), rng)
-    ledger.n_count = oracle.eval_counter - start
     centers = next_centers(g, centers, n0)
 
     k = 0
-    while not ledger.exhausted:
+    while oracle.eval_counter - start < cap:
         params = replace(armijo, sigma2=g.mean_sigma2_hat)
         a_k, _, accepted = armijo_search(oracle, x, g, params)
-        ledger.n_count = oracle.eval_counter - start
+        used = oracle.eval_counter - start
         k += 1
         if not accepted:
             ls_exhausted.append(k)
         x = domain.project(x - a_k * g.g)
-        iterates.append((k, x.copy(), ledger.n_count))
+        iterates.append((k, x.copy(), used))
         n_k = batch_schedule(n0, R, k)
-        if ledger.exhausted or not ledger.can_afford(2 * d * n_k):
+        if used + 2 * d * n_k > cap:
             break
         # Feed the adapted centers through the pilot base scale so pilots at
         # batch n_k come out as center * U(1 +- spread).
         base = centers * float(n_k) ** 0.1
         g = cor_cfd_gradient(oracle, x, replace(cfg, batch_pairs=n_k, pilot_count=R),
                              rng, base_perturbations=base)
-        ledger.n_count = oracle.eval_counter - start
         centers = next_centers(g, centers, n_k)
     return Trajectory(iterates, ls_exhausted=ls_exhausted)

@@ -68,11 +68,6 @@ class BoxDomain:
         return np.clip(p, self.lower, self.upper)
 
 
-def project(domain: BoxDomain, x) -> np.ndarray:
-    """Clamp ``x`` into ``domain`` componentwise."""
-    return domain.project(x)
-
-
 class NoisyOracle:
     """Black-box objective ``Y(x) = mean_fn(x) + sigma * Z`` with exact accounting.
 
@@ -186,6 +181,3 @@ def get_test_function(name: str, dimension: int | None = None) -> TestFunction:
             raise ValueError("fn213 requires an even dimension >= 2")
         return TestFunction("fn213", d, fn213_mean, np.ones(d), 0.0)
     raise ValueError(f"unknown test function {name!r}; expected quartic, cos100, or fn213")
-
-
-TEST_FUNCTION_IDS = ("quartic", "cos100", "fn213")

@@ -1,11 +1,14 @@
 """Tests for the command-line interface and its CSV outputs."""
 
 import csv
+import hashlib
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from fdopt import cli
 from fdopt.cli import main
 
 QUARTIC_CFG = textwrap.dedent("""
@@ -29,6 +32,48 @@ QUARTIC_CFG = textwrap.dedent("""
     [grid]
     a_values = 0.05 1e-3
     c_values = 0.5
+
+    [estimate]
+    point = 1
+    n = 100
+    sigma = 0.5
+""")
+
+
+# Exercises every algorithm, a noise level other than the first for `run`, and
+# non-default [corcfd] estimator and line-search keys.
+GOLDEN_CFG = textwrap.dedent("""
+    [experiment]
+    function = quartic
+    dimension = 1
+    noise_levels = 0.5 2
+    x0 = 3
+    lower = -50
+    upper = 50
+    checkpoints = 30 100
+    replications = 3
+    master_seed = 777
+    algorithm = corcfd
+    algorithms = kw spsa corcfd
+    sigma = 2
+
+    [kw]
+    a = 0.01
+    c = 0.5
+
+    [spsa]
+    a = 0.01
+    c = 0.5
+
+    [corcfd]
+    n0 = 20
+    R = 10
+    c_base = 2.0
+    max_backtracks = 12
+
+    [grid]
+    a_values = 0.01 1e-3
+    c_values = 0.5 1
 
     [estimate]
     point = 1
@@ -179,3 +224,44 @@ def test_17_digit_serialization(config_path, tmp_path):
     for r in rows[:20]:
         v = float(r[2])
         assert format(v, ".17g") == r[2]
+
+
+# The output bytes are the published numbers: these digests change only with a
+# deliberate change of the tables, recorded as such.
+@pytest.mark.parametrize("command, algorithm, output, digest", [
+    ("run", "kw", "trajectory.csv",
+     "4565d11aaac41e596b5af4585171205d357377413a80255e486b84eab0151fcb"),
+    ("run", "spsa", "trajectory.csv",
+     "07ba3bb97bef673c1288606ee673349bd85ad8c794d7ee3c1c69a0f56814e5d7"),
+    ("run", "corcfd", "trajectory.csv",
+     "182801c01aa6115cadd3580294529b1ba90351ea8253fd1b078af553c772be7b"),
+    ("bench", "corcfd", "table.csv",
+     "8bce5ed05113a116b87a19f21ab505f107ea3ea03aac093cb0efcdb4ca859475"),
+    ("grid", "corcfd", "grid.csv",
+     "268fc9b97d8e25280eb4cd9ced8e392bee9c9f63736634c680f7b3c758aa9b0d"),
+    ("estimate", "corcfd", "estimate.csv",
+     "5159200b26683057e7b17d2ee357f93807b4f5696826902e5ae0df040ad3efcb"),
+])
+def test_golden_output_bytes(tmp_path, command, algorithm, output, digest):
+    path = tmp_path / "golden.cfg"
+    path.write_text(GOLDEN_CFG.replace("algorithm = corcfd", f"algorithm = {algorithm}"))
+    assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 0
+    assert hashlib.sha256((tmp_path / output).read_bytes()).hexdigest() == digest
+
+
+def test_perfbench_trace_matches_untraced_bench(tmp_path, monkeypatch):
+    # perfbench/layers.py patches runners and helpers by name in fdopt's
+    # modules; a traced bench must still see every run and write the same bytes.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import layers
+
+    path = tmp_path / "golden.cfg"
+    path.write_text(GOLDEN_CFG)
+    argv = ["bench", "--config", str(path), "--workers", "1", "--out"]
+    assert main(argv + [str(tmp_path / "plain")]) == 0
+    with layers.instrument(layers.Tracer()) as tracer:
+        assert cli.main(argv + [str(tmp_path / "traced")]) == 0
+    assert ((tmp_path / "traced" / "table.csv").read_bytes()
+            == (tmp_path / "plain" / "table.csv").read_bytes())
+    assert len(tracer.reps) == 3 * 2 * 3  # algorithms x noise levels x replications
+    assert tracer.consistency_errors() == []

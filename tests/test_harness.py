@@ -94,6 +94,8 @@ def test_config_validation_errors():
         _small_config(algorithm="nelder-mead")
     with pytest.raises(ConfigurationError):
         _small_config(x0=np.array([1.0, 2.0]))
+    with pytest.raises(ConfigurationError, match="not one of noise_levels"):
+        _small_config(run_sigma=2.0)
 
 
 def test_grid_search_single_cell():
@@ -170,7 +172,9 @@ def test_load_config_round_trip(tmp_path):
         [corcfd]
         n0 = 40
         R = 10
+        c_base = 2
         pilot_spread = 0.4
+        l2 = 0.25
 
         [estimate]
         point = 1
@@ -194,7 +198,8 @@ def test_load_config_round_trip(tmp_path):
     assert config.kw.a == 2.0 and config.kw.c == 0.5
     assert config.spsa.a == 1e-8 and config.spsa.A is None
     assert config.grid.c_values == (1.0, 2.0, 4.0)
-    assert config.corcfd.n0 == 40 and config.corcfd.pilot_spread == 0.4
+    assert config.corcfd.batch_pairs == 40 and config.corcfd.pilot_spread == 0.4
+    assert config.corcfd.base_perturbation == 2.0 and config.armijo.l2 == 0.25
     assert config.estimate.n == 500
     assert np.array_equal(config.estimate.point, np.ones(8))
 
@@ -209,3 +214,13 @@ def test_load_config_bad_values(tmp_path):
     path.write_text("[experiment]\nfunction = quartic\nreplications = many\n")
     with pytest.raises(ConfigurationError):
         load_config(path)
+
+
+def test_load_config_rejects_unknown_sections_and_keys(tmp_path):
+    path = tmp_path / "typo.cfg"
+    path.write_text("[experiment]\nfunction = quartic\n\n"
+                    "[corcfd]\nbootstrap_rep = 20\n\n[spssa]\na = 1\n")
+    with pytest.raises(ConfigurationError) as info:
+        load_config(path)
+    assert "[corcfd] bootstrap_rep" in str(info.value)
+    assert "[spssa]" in str(info.value)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fdopt.oracle import (BoxDomain, NoisyOracle, as_point, fn213_mean,
-                          get_test_function, project, quartic_mean)
+                          get_test_function, quartic_mean)
 
 
 def test_noiseless_evaluate_is_exact():
@@ -62,10 +62,10 @@ def test_unknown_function_id():
 
 def test_projection_cases():
     dom = BoxDomain.interval(-50, 50)
-    assert project(dom, [30.0])[0] == 30.0
+    assert dom.project([30.0])[0] == 30.0
     # first KW step from x0=30 on the quartic overshoots far below the box
-    assert project(dom, [-107970.0])[0] == -50.0
-    assert project(dom, [50.0])[0] == 50.0
+    assert dom.project([-107970.0])[0] == -50.0
+    assert dom.project([50.0])[0] == 50.0
 
 
 def test_projection_idempotent_and_identity_inside():
