@@ -93,6 +93,10 @@ class ExperimentConfig:
             raise ConfigurationError("replications must be >= 1")
         if not self.noise_levels:
             raise ConfigurationError("at least one noise level is required")
+        for sigma in self.noise_levels:
+            if not 0.0 <= sigma < float("inf"):  # also false for NaN
+                raise ConfigurationError(
+                    f"noise level {sigma!r} must be finite and >= 0")
         if not self.checkpoints:
             raise ConfigurationError("at least one checkpoint budget is required")
         if any(b <= a for a, b in zip(self.checkpoints, self.checkpoints[1:])):

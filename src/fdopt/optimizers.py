@@ -193,24 +193,37 @@ def spsa_run(oracle: NoisyOracle, domain: BoxDomain, x0, schedule: GainSchedule,
     ``g = (Y(x + c Delta) - Y(x - c Delta)) / (2c) * Delta`` (the elementwise
     reciprocal of a sign vector is itself), and takes a projected step with
     ``a_k = a/(A+k+1)^0.602``, ``c_k = c/(k+1)^0.101``.
+
+    Directions are drawn in blocks of up to ``16384 // d`` rows. A block draw
+    yields the same stream as one draw per step, so trajectories do not depend
+    on the block size; if a run stops early (a non-finite step raises
+    ``ValueError``), ``rng`` may have advanced to the end of its block.
     """
     if budget_pairs < 1:
         raise ValueError("budget must be at least one pair")
-    x = domain.project(as_point(x0, oracle.dimension))
     d = oracle.dimension
+    x = domain.project(as_point(x0, d))
+    lower, upper = domain.lower, domain.upper
+    a, A, alpha = schedule.a, schedule.A, schedule.a_exponent
+    c, gamma = schedule.c, schedule.c_exponent
+    evaluate = oracle.evaluate
     start = oracle.eval_counter
-    iterates = [(0, x.copy(), 0)]
+    iterates = [(0, x, 0)]
+    rows = max(1, 16384 // d)  # 128 KiB of directions per draw, whatever d is
     k = 0
-    while oracle.eval_counter - start < 2 * budget_pairs:
-        k += 1
-        a_k = schedule.a / (schedule.A + k + 1) ** schedule.a_exponent
-        c_k = schedule.c / (k + 1) ** schedule.c_exponent
-        delta = rng.integers(0, 2, size=d) * 2.0 - 1.0
-        y_plus = oracle.evaluate(x + c_k * delta)
-        y_minus = oracle.evaluate(x - c_k * delta)
-        g = (y_plus - y_minus) / (2.0 * c_k) * delta
-        x = domain.project(x - a_k * g)
-        iterates.append((k, x.copy(), oracle.eval_counter - start))
+    while k < budget_pairs:  # every step charges exactly one pair
+        block = rng.integers(0, 2, size=(min(budget_pairs - k, rows), d)) * 2.0 - 1.0
+        for delta in block:
+            k += 1
+            a_k = a / (A + k + 1) ** alpha
+            c_k = c / (k + 1) ** gamma
+            cd = c_k * delta
+            g = (evaluate(x + cd) - evaluate(x - cd)) / (2.0 * c_k) * delta
+            step = x - a_k * g
+            if not np.isfinite(step).all():
+                raise ValueError("point has non-finite coordinates")
+            x = np.minimum(np.maximum(step, lower), upper)
+            iterates.append((k, x, oracle.eval_counter - start))
     return Trajectory(iterates)
 
 

@@ -68,6 +68,11 @@ class BoxDomain:
         return np.clip(p, self.lower, self.upper)
 
 
+def _reject_non_finite(value, x):
+    raise ValueError(f"objective returned non-finite value {value} at point "
+                     f"{np.asarray(x, dtype=float).tolist()}")
+
+
 class NoisyOracle:
     """Black-box objective ``Y(x) = mean_fn(x) + sigma * Z`` with exact accounting.
 
@@ -75,7 +80,8 @@ class NoisyOracle:
     ``evaluate_batch(x, m)`` draws ``m`` independent observations at the same
     point and charges ``m`` (the noise stream is identical to ``m`` single
     calls). ``true_mean`` bypasses both noise and the counter and exists only
-    so benchmark metrics can query the noiseless objective.
+    so benchmark metrics can query the noiseless objective. A NaN or infinite
+    mean value raises ``ValueError`` naming the value and the point.
 
     Two oracles built with the same seed produce bit-identical evaluation
     streams. Instances carry mutable state (counter + RNG) and must not be
@@ -106,6 +112,8 @@ class NoisyOracle:
                 f"dimension mismatch: oracle is {self.dimension}-d, point is {len(x)}-d")
         self._count += 1
         y = self._mean_fn(x)
+        if not math.isfinite(y):
+            _reject_non_finite(y, x)
         if self.noise_sigma:
             y += self.noise_sigma * self._rng.standard_normal()
         return float(y)
@@ -119,6 +127,8 @@ class NoisyOracle:
             raise ValueError("size must be >= 1")
         self._count += size
         mu = self._mean_fn(x)
+        if not math.isfinite(mu):
+            _reject_non_finite(mu, x)
         if self.noise_sigma:
             return mu + self.noise_sigma * self._rng.standard_normal(size)
         return np.full(size, float(mu))
@@ -162,7 +172,7 @@ def fn213_mean(x) -> float:
     first = v[0::2]
     second = v[1::2]
     terms = 10.0 * (second - first) ** 2 + (1.0 - first) ** 2
-    return float(np.sum(terms ** 4))
+    return float((terms ** 4).sum())
 
 
 def get_test_function(name: str, dimension: int | None = None) -> TestFunction:

@@ -154,6 +154,16 @@ def test_bench_empty_algorithms_exits_2(tmp_path):
     assert not (out / "table.csv").exists()
 
 
+@pytest.mark.parametrize("levels", ["0.1 -1 10", "0.1 nan"])
+def test_bench_bad_noise_levels_exit_2(tmp_path, capsys, levels):
+    path = tmp_path / "noise.cfg"
+    path.write_text(QUARTIC_CFG.replace("noise_levels = 0.5", f"noise_levels = {levels}"))
+    out = tmp_path / "b"
+    assert main(["bench", "--config", str(path), "--out", str(out)]) == 2
+    assert "noise level" in capsys.readouterr().err
+    assert not (out / "table.csv").exists()
+
+
 def test_bench_deterministic_across_runs_and_workers(config_path, tmp_path):
     out1, out2, out3 = (tmp_path / n for n in ("b1", "b2", "b3"))
     for out, workers in ((out1, None), (out2, None), (out3, "2")):
@@ -226,25 +236,54 @@ def test_17_digit_serialization(config_path, tmp_path):
         assert format(v, ".17g") == r[2]
 
 
+# SPSA in more than one dimension: 2,400 steps cross the 2,048-row direction
+# block of d=8, and the upper bound of 3 clamps coordinates from the first step.
+FN213_CFG = textwrap.dedent("""
+    [experiment]
+    function = fn213
+    dimension = 8
+    noise_levels = 1
+    x0 = 3 1
+    lower = -2
+    upper = 3
+    checkpoints = 30 300
+    replications = 1
+    master_seed = 2024
+    algorithm = spsa
+
+    [spsa]
+    a = 2e-8
+    c = 0.5
+""")
+
+
+def _golden(command, algorithm, output, digest, config=GOLDEN_CFG, label=""):
+    return pytest.param(command, algorithm, output, digest, config,
+                        id=label + "-".join((command, algorithm, output, digest)))
+
+
 # The output bytes are the published numbers: these digests change only with a
 # deliberate change of the tables, recorded as such.
-@pytest.mark.parametrize("command, algorithm, output, digest", [
-    ("run", "kw", "trajectory.csv",
-     "4565d11aaac41e596b5af4585171205d357377413a80255e486b84eab0151fcb"),
-    ("run", "spsa", "trajectory.csv",
-     "07ba3bb97bef673c1288606ee673349bd85ad8c794d7ee3c1c69a0f56814e5d7"),
-    ("run", "corcfd", "trajectory.csv",
-     "182801c01aa6115cadd3580294529b1ba90351ea8253fd1b078af553c772be7b"),
-    ("bench", "corcfd", "table.csv",
-     "8bce5ed05113a116b87a19f21ab505f107ea3ea03aac093cb0efcdb4ca859475"),
-    ("grid", "corcfd", "grid.csv",
-     "268fc9b97d8e25280eb4cd9ced8e392bee9c9f63736634c680f7b3c758aa9b0d"),
-    ("estimate", "corcfd", "estimate.csv",
-     "5159200b26683057e7b17d2ee357f93807b4f5696826902e5ae0df040ad3efcb"),
+@pytest.mark.parametrize("command, algorithm, output, digest, config", [
+    _golden("run", "kw", "trajectory.csv",
+            "4565d11aaac41e596b5af4585171205d357377413a80255e486b84eab0151fcb"),
+    _golden("run", "spsa", "trajectory.csv",
+            "07ba3bb97bef673c1288606ee673349bd85ad8c794d7ee3c1c69a0f56814e5d7"),
+    _golden("run", "corcfd", "trajectory.csv",
+            "182801c01aa6115cadd3580294529b1ba90351ea8253fd1b078af553c772be7b"),
+    _golden("bench", "corcfd", "table.csv",
+            "8bce5ed05113a116b87a19f21ab505f107ea3ea03aac093cb0efcdb4ca859475"),
+    _golden("grid", "corcfd", "grid.csv",
+            "268fc9b97d8e25280eb4cd9ced8e392bee9c9f63736634c680f7b3c758aa9b0d"),
+    _golden("estimate", "corcfd", "estimate.csv",
+            "5159200b26683057e7b17d2ee357f93807b4f5696826902e5ae0df040ad3efcb"),
+    _golden("run", "spsa", "trajectory.csv",
+            "34fdd79286e8c6c22e7bcef5415c4bc4470637944f1dc776a3281d3516874883",
+            config=FN213_CFG, label="fn213-"),
 ])
-def test_golden_output_bytes(tmp_path, command, algorithm, output, digest):
+def test_golden_output_bytes(tmp_path, command, algorithm, output, digest, config):
     path = tmp_path / "golden.cfg"
-    path.write_text(GOLDEN_CFG.replace("algorithm = corcfd", f"algorithm = {algorithm}"))
+    path.write_text(config.replace("algorithm = corcfd", f"algorithm = {algorithm}"))
     assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 0
     assert hashlib.sha256((tmp_path / output).read_bytes()).hexdigest() == digest
 

@@ -98,6 +98,12 @@ def test_config_validation_errors():
         _small_config(run_sigma=2.0)
 
 
+@pytest.mark.parametrize("sigma", [-1.0, float("nan"), float("inf")])
+def test_config_rejects_negative_or_non_finite_noise_levels(sigma):
+    with pytest.raises(ConfigurationError, match=f"noise level {sigma!r}"):
+        _small_config(noise_levels=(0.1, sigma))
+
+
 def test_grid_search_single_cell():
     config = _small_config(replications=2, checkpoints=(10, 30))
     grid = GridSpec(a_values=(0.05,), c_values=(0.5,))

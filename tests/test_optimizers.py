@@ -7,8 +7,8 @@ from fdopt.estimators import CorCfdConfig
 from fdopt.metrics import oscillation_settle_index, oscillatory_period
 from fdopt.optimizers import (ArmijoParams, ConfigurationError, GainSchedule,
                               armijo_search, batch_schedule, cor_cfd_gd_run,
-                              kw_run, spsa_run)
-from fdopt.oracle import BoxDomain, NoisyOracle, get_test_function
+                              Trajectory, kw_run, spsa_run)
+from fdopt.oracle import BoxDomain, NoisyOracle, as_point, get_test_function
 
 DOMAIN = BoxDomain.interval(-50, 50)
 
@@ -146,6 +146,13 @@ def test_kw_first_step_hits_lower_bound():
     assert traj.iterates[1][1][0] == -50.0
 
 
+def test_kw_non_finite_objective_raises_at_oracle():
+    # the objective is undefined near 0; the first minus probe lands at 0.5
+    o = _oracle(lambda x: float("nan") if abs(x[0]) < 1 else float(x[0]) ** 2)
+    with pytest.raises(ValueError, match=r"non-finite value nan at point \[0\.5\]"):
+        kw_run(o, DOMAIN, 1.5, GainSchedule.kw(0.1, 1.0), 100)
+
+
 # ---------------------------------------------------------------------------
 # spsa_run
 # ---------------------------------------------------------------------------
@@ -191,6 +198,84 @@ def test_spsa_estimator_mean_matches_gradient():
     err_100 = np.linalg.norm(g_hat[:100].mean(axis=0) - grad)
     err_all = np.linalg.norm(g_hat.mean(axis=0) - grad)
     assert err_all < err_100
+
+
+def _spsa_reference(oracle, domain, x0, schedule, budget_pairs, rng):
+    """The per-step SPSA loop, one direction draw and one projection per step."""
+    x = domain.project(as_point(x0, oracle.dimension))
+    d = oracle.dimension
+    start = oracle.eval_counter
+    iterates = [(0, x.copy(), 0)]
+    k = 0
+    while oracle.eval_counter - start < 2 * budget_pairs:
+        k += 1
+        a_k = schedule.a / (schedule.A + k + 1) ** schedule.a_exponent
+        c_k = schedule.c / (k + 1) ** schedule.c_exponent
+        delta = rng.integers(0, 2, size=d) * 2.0 - 1.0
+        y_plus = oracle.evaluate(x + c_k * delta)
+        y_minus = oracle.evaluate(x - c_k * delta)
+        g = (y_plus - y_minus) / (2.0 * c_k) * delta
+        x = domain.project(x - a_k * g)
+        iterates.append((k, x.copy(), oracle.eval_counter - start))
+    return Trajectory(iterates)
+
+
+def _quartic_bowl(x):
+    return float((x ** 4).sum())
+
+
+def _run_spsa(runner, d, sigma, budget, schedule=None, mean_fn=_quartic_bowl):
+    # A box of [-2, 2] and a large gain drive some coordinates onto the bounds.
+    o = _oracle(mean_fn, d=d, sigma=sigma, seed=d)
+    dom = BoxDomain.interval(-2, 2, d)
+    schedule = schedule or GainSchedule.spsa(0.05, 0.5, A=5)
+    traj = runner(o, dom, np.linspace(-1.5, 1.9, d), schedule, budget,
+                  np.random.default_rng((7, d)))
+    return traj, o.eval_counter
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1.0])
+@pytest.mark.parametrize("d", [1, 2, 64])
+def test_spsa_matches_per_step_reference_bit_for_bit(d, sigma):
+    rows = 16384 // d  # the direction block size of spsa_run
+    budgets = (1, rows - 1, rows, rows + 1, 3 * rows + 5)
+    # A shorter run is a prefix of a longer one, so one reference run covers
+    # every budget.
+    ref, _ = _run_spsa(_spsa_reference, d, sigma, budgets[-1])
+    for budget in budgets:
+        traj, count = _run_spsa(spsa_run, d, sigma, budget)
+        assert count == 2 * budget
+        assert len(traj.iterates) == budget + 1
+        assert np.array_equal(traj.xs(), ref.xs()[:budget + 1])
+        assert ([(k, n) for k, _, n in traj.iterates]
+                == [(k, n) for k, _, n in ref.iterates[:budget + 1]])
+
+
+def test_spsa_non_finite_step_raises_like_reference():
+    # an infinite gain on a flat objective makes every step 0 * inf = NaN
+    sched = GainSchedule.spsa(np.inf, 0.5)
+    for runner in (spsa_run, _spsa_reference):
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(ValueError, match="non-finite coordinates"):
+            _run_spsa(runner, 2, 0.0, 10, schedule=sched, mean_fn=lambda x: 0.0)
+
+
+def test_spsa_stored_iterates_share_no_memory():
+    x0 = np.array([0.5, -0.5, 1.0])
+    o = _oracle(_quartic_bowl, d=3, sigma=1.0, seed=3)
+    traj = spsa_run(o, BoxDomain.interval(-2, 2, 3), x0, GainSchedule.spsa(0.05, 0.5),
+                    40, np.random.default_rng(3))
+    xs = [x for _, x, _ in traj.iterates] + [x0]
+    for i, a in enumerate(xs):
+        for b in xs[i + 1:]:
+            assert not np.shares_memory(a, b)
+
+
+def test_spsa_non_finite_objective_raises_at_oracle():
+    o = _oracle(lambda x: float("nan") if abs(x[0]) < 1 else 1.0, d=2)
+    with pytest.raises(ValueError, match="non-finite value nan"):
+        spsa_run(o, BoxDomain.interval(-5, 5, 2), np.array([0.5, 3.0]),
+                 GainSchedule.spsa(0.1, 0.5), 50, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------

@@ -138,6 +138,15 @@ def test_dimension_mismatch_raises():
         o.evaluate_batch(np.ones(5), 2)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_mean_value_rejected(value):
+    o = NoisyOracle(lambda x: value, 2, 1.0, seed=0)
+    with pytest.raises(ValueError, match=rf"non-finite value {value} at point \[1\.0, 2\.0\]"):
+        o.evaluate(np.array([1.0, 2.0]))
+    with pytest.raises(ValueError, match=rf"non-finite value {value} at point \[1\.0, 2\.0\]"):
+        o.evaluate_batch(np.array([1.0, 2.0]), 3)
+
+
 def test_noise_mean_law_of_large_numbers():
     # mean of Y(x) - mu(x) over 1e6 draws stays within 4e-3 of zero
     o = NoisyOracle(quartic_mean, 1, 1.0, seed=1234)
