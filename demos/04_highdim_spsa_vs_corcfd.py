@@ -23,8 +23,9 @@ sigma = 1.0
 print(f"start: mu(x0) = {fn.mean_fn(x0):,.0f}, budget = {budget:,} pairs\n")
 
 oracle = fn.make_oracle(sigma, seed=(7, 1))
-corcfd = cor_cfd_gd_run(oracle, domain, x0, CorCfdConfig(), ArmijoParams(),
-                        n0=20, R=10, budget_pairs=budget,
+corcfd = cor_cfd_gd_run(oracle, domain, x0,
+                        CorCfdConfig(batch_pairs=20, pilot_count=10),  # n0, R
+                        ArmijoParams(), budget_pairs=budget,
                         rng=np.random.default_rng((7, 2)))
 oracle = fn.make_oracle(sigma, seed=(7, 3))
 spsa = spsa_run(oracle, domain, x0, GainSchedule.spsa(1e-9, 2.0, A=0.1 * budget),

@@ -62,8 +62,9 @@ class CorCfdConfig:
             raise ValueError("pilot_count must divide batch_pairs")
         if self.batch_pairs // self.pilot_count < 2:
             raise ValueError("need at least two sample pairs per pilot")
-        if self.base_perturbation <= 0:
-            raise ValueError("base_perturbation must be > 0")
+        if not 0 < self.base_perturbation < np.inf:  # also false for NaN
+            raise ValueError(
+                f"base_perturbation={self.base_perturbation!r} must be finite and > 0")
         if not 0.0 <= self.pilot_spread < 1.0:
             raise ValueError("pilot_spread must lie in [0, 1)")
         if self.bootstrap_reps < 1:
@@ -116,12 +117,7 @@ def _shifted(x: np.ndarray, coord: int, delta: float) -> np.ndarray:
 
 def cfd_pair(oracle: NoisyOracle, x, coord: int, c: float) -> float:
     """One central difference quotient from two fresh evaluations at ``x +- c e_coord``."""
-    if c <= 0:
-        raise ValueError("perturbation c must be > 0")
-    p = as_point(x, oracle.dimension)
-    y_plus = oracle.evaluate(_shifted(p, coord, c))
-    y_minus = oracle.evaluate(_shifted(p, coord, -c))
-    return (y_plus - y_minus) / (2.0 * c)
+    return cfd_batch(oracle, x, coord, CfdConfig(1, c))
 
 
 def cfd_batch(oracle: NoisyOracle, x, coord: int, cfg: CfdConfig) -> float:

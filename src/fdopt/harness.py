@@ -46,6 +46,9 @@ class SpsaParams:
     c: float = 2.0
     A: float | None = None
 
+    def __post_init__(self):
+        self.schedule(1)  # rejects bad gains at load time, not inside a replication
+
     def schedule(self, budget_pairs: int) -> GainSchedule:
         A = 0.1 * budget_pairs if self.A is None else self.A
         return GainSchedule.spsa(a=self.a, c=self.c, A=A)
@@ -84,7 +87,7 @@ class ExperimentConfig:
     grid: GridSpec | None = None
     algorithm: str | None = None            # `run` subcommand
     algorithms: tuple[str, ...] = ()        # `bench` subcommand
-    run_sigma: float | None = None          # `run`/`estimate` noise level
+    run_sigma: float | None = None          # `run` noise level
     estimate: EstimateParams | None = None  # `estimate` subcommand
     workers: int = 1
 
@@ -178,9 +181,8 @@ def run_trajectory(config: ExperimentConfig, algorithm: str, sigma_index: int,
         traj = spsa_run(oracle, config.domain, config.x0,
                         config.spsa.schedule(budget), budget, rng)
     elif algorithm == "corcfd":
-        c = config.corcfd
-        traj = cor_cfd_gd_run(oracle, config.domain, config.x0, c, config.armijo,
-                              c.batch_pairs, c.pilot_count, budget, rng)
+        traj = cor_cfd_gd_run(oracle, config.domain, config.x0, config.corcfd,
+                              config.armijo, budget, rng)
     else:
         raise ConfigurationError(f"unknown algorithm {algorithm!r}")
     return fn, traj

@@ -32,10 +32,10 @@ class GainSchedule:
     c_exponent: float = 0.25
 
     def __post_init__(self):
-        if self.a <= 0 or self.c <= 0:
-            raise ValueError("gains a and c must be > 0")
-        if self.A < 0:
-            raise ValueError("stability constant A must be >= 0")
+        if not (0 < self.a < np.inf and 0 < self.c < np.inf):  # also false for NaN
+            raise ValueError(f"gains a={self.a!r} and c={self.c!r} must be finite and > 0")
+        if not 0 <= self.A < np.inf:
+            raise ValueError(f"stability constant A={self.A!r} must be finite and >= 0")
 
     @classmethod
     def kw(cls, a: float = 1.0, c: float = 1.0) -> "GainSchedule":
@@ -102,32 +102,34 @@ class ArmijoParams:
     l2: float = 0.5
     a0: float = 1.0
     max_backtracks: int = 30
-    sigma2: float = 0.0
 
     def __post_init__(self):
         if not 0 < self.l1 < 1:
             raise ValueError("l1 must lie in (0, 1)")
         if not 0 < self.l2 < 1:
             raise ValueError("l2 must lie in (0, 1)")
-        if self.a0 <= 0:
-            raise ValueError("a0 must be > 0")
+        if not 0 < self.a0 < np.inf:  # also false for NaN
+            raise ValueError(f"a0={self.a0!r} must be finite and > 0")
         if self.max_backtracks < 1:
             raise ValueError("max_backtracks must be >= 1")
-        if self.sigma2 < 0:
-            raise ValueError("sigma2 must be >= 0")
 
 
 def armijo_search(oracle: NoisyOracle, x, g, params: ArmijoParams) -> tuple[float, int, bool]:
     """Backtracking line search under the noise-relaxed Armijo condition.
 
     Accepts the first step ``a`` (from ``a0`` downward by factors of ``l2``)
-    with ``Y(x - a g) <= Y(x) - l1 a g.g + 2 sigma2``. One fresh baseline
-    evaluation of ``Y(x)`` is drawn per search and reused across backtracks.
+    with ``Y(x - a g) <= Y(x) - l1 a g.g + 2 sigma2``, where ``sigma2`` is
+    ``g.mean_sigma2_hat`` for a :class:`GradientEstimate` and 0 for a plain
+    vector. One fresh baseline evaluation of ``Y(x)`` is drawn per search and
+    reused across backtracks.
     Returns ``(a, evaluations_used, accepted)``; when the backtrack budget runs
     out, the smallest trial step is returned with ``accepted=False``.
     """
     p = as_point(x, oracle.dimension)
-    g_vec = g.g if isinstance(g, GradientEstimate) else np.asarray(g, dtype=float)
+    if isinstance(g, GradientEstimate):
+        g_vec, relax = g.g, 2.0 * g.mean_sigma2_hat
+    else:
+        g_vec, relax = np.asarray(g, dtype=float), 0.0
     gg = float(g_vec @ g_vec)
     baseline = oracle.evaluate(p)
     n_ls = 1
@@ -135,7 +137,7 @@ def armijo_search(oracle: NoisyOracle, x, g, params: ArmijoParams) -> tuple[floa
     for _ in range(params.max_backtracks):
         candidate = oracle.evaluate(p - a * g_vec)
         n_ls += 1
-        if candidate <= baseline - params.l1 * a * gg + 2.0 * params.sigma2:
+        if candidate <= baseline - params.l1 * a * gg + relax:
             return a, n_ls, True
         a *= params.l2
     return a / params.l2, n_ls, False
@@ -228,17 +230,17 @@ def spsa_run(oracle: NoisyOracle, domain: BoxDomain, x0, schedule: GainSchedule,
 
 
 def cor_cfd_gd_run(oracle: NoisyOracle, domain: BoxDomain, x0, cfg: CorCfdConfig,
-                   armijo: ArmijoParams, n0: int, R: int, budget_pairs: int,
+                   armijo: ArmijoParams, budget_pairs: int,
                    rng: np.random.Generator) -> Trajectory:
     """Gradient descent with Cor-CFD batch gradients and Armijo line search.
 
-    Starts from a gradient at batch size ``n0``; each iteration runs the line
-    search (charging its evaluations), takes a projected step, grows the batch
-    by ``batch_schedule``, and estimates a fresh gradient. The loop exits when
-    the cap of ``2 * budget_pairs`` evaluations is reached or the remaining
-    budget cannot fund the next gradient, so late sample pairs may be left
-    unused. The noise-variance term of the Armijo test is fed from the current
-    gradient's diagnostics.
+    Starts from a gradient at batch ``n0 = cfg.batch_pairs`` with
+    ``R = cfg.pilot_count`` pilots; each iteration runs the line search
+    (charging its evaluations), takes a projected step, grows the batch to
+    ``batch_schedule(n0, R, k)``, and estimates a fresh gradient. The loop
+    exits when the cap of ``2 * budget_pairs`` evaluations is reached or the
+    remaining budget cannot fund the next gradient, so late sample pairs may
+    be left unused. The Armijo noise term comes from the current gradient.
 
     The pilot scale is adapted per coordinate between iterations: where the
     estimated third derivative clearly exceeds its bootstrap dispersion, the
@@ -249,8 +251,7 @@ def cor_cfd_gd_run(oracle: NoisyOracle, domain: BoxDomain, x0, cfg: CorCfdConfig
     landscapes.
     """
     d = oracle.dimension
-    if n0 < 1 or R < 1 or n0 % R:
-        raise ConfigurationError("n0 must be a positive multiple of R")
+    n0, R = cfg.batch_pairs, cfg.pilot_count
     cap = 2 * budget_pairs
     if 2 * d * n0 > cap:
         raise ConfigurationError(
@@ -258,7 +259,7 @@ def cor_cfd_gd_run(oracle: NoisyOracle, domain: BoxDomain, x0, cfg: CorCfdConfig
             f"({d * n0} pairs)")
     x = domain.project(as_point(x0, d))
     start = oracle.eval_counter
-    iterates = [(0, x.copy(), 0)]
+    iterates = [(0, x, 0)]
     ls_exhausted: list[int] = []
 
     def next_centers(estimate: GradientEstimate, centers: np.ndarray, n: int) -> np.ndarray:
@@ -277,26 +278,25 @@ def cor_cfd_gd_run(oracle: NoisyOracle, domain: BoxDomain, x0, cfg: CorCfdConfig
         return out
 
     centers = np.full(d, cfg.base_perturbation * float(n0) ** -0.1)
-    g = cor_cfd_gradient(oracle, x, replace(cfg, batch_pairs=n0, pilot_count=R), rng)
+    g = cor_cfd_gradient(oracle, x, cfg, rng)
     centers = next_centers(g, centers, n0)
 
     k = 0
     while oracle.eval_counter - start < cap:
-        params = replace(armijo, sigma2=g.mean_sigma2_hat)
-        a_k, _, accepted = armijo_search(oracle, x, g, params)
+        a_k, _, accepted = armijo_search(oracle, x, g, armijo)
         used = oracle.eval_counter - start
         k += 1
         if not accepted:
             ls_exhausted.append(k)
         x = domain.project(x - a_k * g.g)
-        iterates.append((k, x.copy(), used))
+        iterates.append((k, x, used))
         n_k = batch_schedule(n0, R, k)
         if used + 2 * d * n_k > cap:
             break
         # Feed the adapted centers through the pilot base scale so pilots at
         # batch n_k come out as center * U(1 +- spread).
         base = centers * float(n_k) ** 0.1
-        g = cor_cfd_gradient(oracle, x, replace(cfg, batch_pairs=n_k, pilot_count=R),
-                             rng, base_perturbations=base)
+        g = cor_cfd_gradient(oracle, x, replace(cfg, batch_pairs=n_k), rng,
+                             base_perturbations=base)
         centers = next_centers(g, centers, n_k)
     return Trajectory(iterates, ls_exhausted=ls_exhausted)

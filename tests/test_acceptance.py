@@ -115,7 +115,7 @@ def test_criterion_5_fn213_crossover():
 
     oracle_c = fn.make_oracle(1.0, seed=(ACCEPTANCE_SEED, 1))
     traj_c = cor_cfd_gd_run(oracle_c, dom, x0, CorCfdConfig(), ArmijoParams(),
-                            20, 10, budget, np.random.default_rng((ACCEPTANCE_SEED, 2)))
+                            budget, np.random.default_rng((ACCEPTANCE_SEED, 2)))
     oracle_s = fn.make_oracle(1.0, seed=(ACCEPTANCE_SEED, 3))
     traj_s = spsa_run(oracle_s, dom, x0, GainSchedule.spsa(1e-9, 2.0, A=0.1 * budget),
                       budget, np.random.default_rng((ACCEPTANCE_SEED, 4)))
@@ -239,7 +239,7 @@ def test_criterion_9_budget_exactness():
 
     o = fn.make_oracle(1.0, seed=(ACCEPTANCE_SEED, 12))
     traj = cor_cfd_gd_run(o, DOMAIN_1D, np.array([30.0]), CorCfdConfig(),
-                          ArmijoParams(), 20, 10, 500, np.random.default_rng(1))
+                          ArmijoParams(), 500, np.random.default_rng(1))
     ok &= traj.final_n_count == o.eval_counter
     _report("9 budget exactness", ok, "100 gradient configs + 3 optimizer runs", t0)
 

@@ -164,6 +164,16 @@ def test_bench_bad_noise_levels_exit_2(tmp_path, capsys, levels):
     assert not (out / "table.csv").exists()
 
 
+@pytest.mark.parametrize("section", ["[kw]\na = nan", "[spsa]\nA = -5"])
+def test_bench_bad_gains_exit_2(tmp_path, capsys, section):
+    path = tmp_path / "gains.cfg"
+    path.write_text(QUARTIC_CFG + "\n" + section + "\n")
+    out = tmp_path / "b"
+    assert main(["bench", "--config", str(path), "--out", str(out)]) == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not (out / "table.csv").exists()
+
+
 def test_bench_deterministic_across_runs_and_workers(config_path, tmp_path):
     out1, out2, out3 = (tmp_path / n for n in ("b1", "b2", "b3"))
     for out, workers in ((out1, None), (out2, None), (out3, "2")):

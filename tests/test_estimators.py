@@ -44,6 +44,25 @@ def test_cfd_pair_rejects_nonpositive_c():
         cfd_pair(o, np.zeros(1), 0, -0.1)
 
 
+def _cfd_pair_reference(oracle, x, coord, c):
+    """One quotient from two single-point evaluations."""
+    e = np.zeros(oracle.dimension)
+    e[coord] = c
+    return (oracle.evaluate(x + e) - oracle.evaluate(x - e)) / (2.0 * c)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1.0])
+@pytest.mark.parametrize("c", [1e-3, 0.7, 3.0])
+def test_cfd_pair_matches_single_evaluations_bit_for_bit(sigma, c):
+    fn = get_test_function("quartic")
+    for seed in range(50):
+        o, ref = fn.make_oracle(sigma, seed=seed), fn.make_oracle(sigma, seed=seed)
+        x = np.array([seed / 10.0 - 2.0])
+        for _ in range(4):
+            assert cfd_pair(o, x, 0, c) == _cfd_pair_reference(ref, x, 0, c)
+        assert o.eval_counter == ref.eval_counter == 8
+
+
 def test_cfd_bias_quadratic_in_c():
     # noiseless quartic at x=1: |quotient - 4| = 4 c^2 exactly, so the
     # log-log slope of bias against c is 2
@@ -154,6 +173,9 @@ def test_corcfd_config_validation():
         CorCfdConfig(pilot_count=10, batch_pairs=10)  # needs >= 2 pairs per pilot
     with pytest.raises(ValueError):
         CorCfdConfig(pilot_spread=1.0)
+    for bad in (np.nan, np.inf, -1.0):
+        with pytest.raises(ValueError, match="base_perturbation"):
+            CorCfdConfig(base_perturbation=bad)
 
 
 # ---------------------------------------------------------------------------

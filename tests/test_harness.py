@@ -222,6 +222,23 @@ def test_load_config_bad_values(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("section, key", [("kw", "a"), ("kw", "c"), ("spsa", "a"),
+                                          ("spsa", "c"), ("spsa", "A"), ("corcfd", "a0"),
+                                          ("corcfd", "c_base")])
+@pytest.mark.parametrize("value", ["nan", "inf", "-5"])
+def test_load_config_rejects_bad_gains(tmp_path, section, key, value):
+    path = tmp_path / "gains.cfg"
+    path.write_text(f"[experiment]\nfunction = quartic\n\n[{section}]\n{key} = {value}\n")
+    with pytest.raises(ConfigurationError, match="must be finite"):
+        load_config(path)
+
+
+def test_spsa_params_reject_bad_gains():
+    for bad in (dict(a=np.nan), dict(c=np.inf), dict(A=-5.0)):
+        with pytest.raises(ValueError, match="must be finite"):
+            SpsaParams(**bad)
+
+
 def test_load_config_rejects_unknown_sections_and_keys(tmp_path):
     path = tmp_path / "typo.cfg"
     path.write_text("[experiment]\nfunction = quartic\n\n"

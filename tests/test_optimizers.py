@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fdopt.estimators import CorCfdConfig
+from fdopt.estimators import CoordDiagnostics, CorCfdConfig, GradientEstimate
 from fdopt.metrics import oscillation_settle_index, oscillatory_period
 from fdopt.optimizers import (ArmijoParams, ConfigurationError, GainSchedule,
                               armijo_search, batch_schedule, cor_cfd_gd_run,
@@ -48,12 +48,18 @@ def test_batch_schedule_monotone_and_bounded():
 # armijo_search
 # ---------------------------------------------------------------------------
 
+def _estimate(g, sigma2_hat):
+    """A gradient estimate whose one coordinate reports ``sigma2_hat``."""
+    return GradientEstimate(np.asarray(g, dtype=float),
+                            [CoordDiagnostics(1.0, sigma2_hat, 0.0, 0.0)])
+
+
 def test_armijo_hand_case_quadratic():
     # x=1, g=2 on x^2 with l1=l2=0.5: a=1 gives Y(-1)=1 > -1, rejected;
     # a=0.5 gives Y(0)=0 <= 1 - 0.5*0.5*4 = 0, accepted (the test is <=).
     o = _oracle(lambda x: float(x[0]) ** 2)
-    params = ArmijoParams(l1=0.5, l2=0.5, a0=1.0, max_backtracks=30, sigma2=0.0)
-    a, n_ls, accepted = armijo_search(o, np.array([1.0]), np.array([2.0]), params)
+    params = ArmijoParams(l1=0.5, l2=0.5, a0=1.0, max_backtracks=30)
+    a, n_ls, accepted = armijo_search(o, np.array([1.0]), _estimate([2.0], 0.0), params)
     assert accepted
     assert a == 0.5
     assert n_ls == 3  # one baseline plus two candidate evaluations
@@ -72,10 +78,11 @@ def test_armijo_noise_relaxation_dominates():
     # flat objective, sigma2 relaxation far above the decrease term: the first
     # trial is accepted in well over 90% of searches
     accepted_count = 0
-    params = ArmijoParams(l1=0.5, l2=0.5, a0=1.0, sigma2=4.0)  # 2*sigma2 = 8 > 10*0.5
+    params = ArmijoParams(l1=0.5, l2=0.5, a0=1.0)
+    g = _estimate([1.0], sigma2_hat=4.0)  # 2*sigma2 = 8 > 10*0.5
     for rep in range(100):
         o = _oracle(lambda x: 0.0, sigma=2.0, seed=rep)
-        a, _, accepted = armijo_search(o, np.zeros(1), np.array([1.0]), params)
+        a, _, accepted = armijo_search(o, np.zeros(1), g, params)
         if accepted and a == 1.0:
             accepted_count += 1
     assert accepted_count >= 90
@@ -89,6 +96,16 @@ def test_armijo_exhaustion_returns_smallest_step_with_flag():
     assert not accepted
     assert a == pytest.approx(0.5 ** 7)  # smallest step actually tried
     assert n_ls == 1 + 8
+
+
+def test_armijo_noise_term_comes_from_the_estimate():
+    # uphill on a noiseless linear slope from 0: Y(x - a g) = a exceeds
+    # Y(x) - l1 a g.g = -0.5 a for every a > 0, so only the estimate's noise
+    # term 2 * 1 admits the first trial a = 1; a plain vector adds no noise term
+    o = _oracle(lambda x: float(x[0]))
+    params = ArmijoParams(l1=0.5, l2=0.5, a0=1.0, max_backtracks=8)
+    assert armijo_search(o, np.zeros(1), _estimate([-1.0], 1.0), params) == (1.0, 2, True)
+    assert not armijo_search(o, np.zeros(1), np.array([-1.0]), params)[2]
 
 
 def test_armijo_noiseless_guarantee():
@@ -252,12 +269,14 @@ def test_spsa_matches_per_step_reference_bit_for_bit(d, sigma):
 
 
 def test_spsa_non_finite_step_raises_like_reference():
-    # an infinite gain on a flat objective makes every step 0 * inf = NaN
-    sched = GainSchedule.spsa(np.inf, 0.5)
+    # a finite but huge gain on a steep linear objective overflows the first
+    # step: a_1 * |g| = 1e308 / 2^0.602 * 1e10 = inf
+    sched = GainSchedule.spsa(1e308, 0.5)
     for runner in (spsa_run, _spsa_reference):
-        with np.errstate(invalid="ignore"), \
+        with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(ValueError, match="non-finite coordinates"):
-            _run_spsa(runner, 2, 0.0, 10, schedule=sched, mean_fn=lambda x: 0.0)
+            _run_spsa(runner, 2, 0.0, 10, schedule=sched,
+                      mean_fn=lambda x: 1e10 * float(x[0]))
 
 
 def test_spsa_stored_iterates_share_no_memory():
@@ -284,8 +303,8 @@ def test_spsa_non_finite_objective_raises_at_oracle():
 
 def _gd(oracle, budget, seed=1, x0=30.0, domain=DOMAIN, n0=20, R=10):
     return cor_cfd_gd_run(oracle, domain, np.full(oracle.dimension, x0),
-                          CorCfdConfig(), ArmijoParams(), n0, R, budget,
-                          np.random.default_rng(seed))
+                          CorCfdConfig(batch_pairs=n0, pilot_count=R), ArmijoParams(),
+                          budget, np.random.default_rng(seed))
 
 
 def test_gd_insufficient_budget_is_config_error():
@@ -293,12 +312,6 @@ def test_gd_insufficient_budget_is_config_error():
     with pytest.raises(ConfigurationError):
         _gd(o, budget=10)  # initial gradient alone needs 20 pairs
     assert o.eval_counter == 0  # rejected before any evaluation
-
-
-def test_gd_invalid_batch_layout():
-    o = _oracle(lambda x: float(x[0]) ** 2)
-    with pytest.raises(ConfigurationError):
-        _gd(o, budget=1000, n0=15, R=10)
 
 
 def test_gd_noiseless_quadratic_descends_monotonically():
@@ -339,11 +352,22 @@ def test_gd_first_iteration_cost_matches_narrative():
     o = fn.make_oracle(1.0, seed=(30, 0))
     dom = BoxDomain.interval(-50, 50, 64)
     traj = cor_cfd_gd_run(o, dom, np.tile([3.0, 1.0], 32), CorCfdConfig(),
-                          ArmijoParams(), 20, 10, 3000 * 64,
-                          np.random.default_rng(31))
+                          ArmijoParams(), 3000 * 64, np.random.default_rng(31))
     first_update_evals = traj.iterates[1][2]
     assert first_update_evals >= 2 * 20 * 64
     assert first_update_evals <= 2 * 20 * 64 + 2 * (1 + 30)
+
+
+def test_gd_batch_layout_comes_from_the_config():
+    # n0 = 40 pairs per coordinate on d = 4: the first gradient costs 2*40*4
+    # evaluations and the first line search at most 1 + max_backtracks more
+    d = 4
+    o = _oracle(lambda x: float(np.sum(np.asarray(x) ** 2)), d=d, sigma=1.0, seed=40)
+    traj = cor_cfd_gd_run(o, BoxDomain.interval(-10, 10, d), np.full(d, 3.0),
+                          CorCfdConfig(batch_pairs=40, pilot_count=10), ArmijoParams(),
+                          1000, np.random.default_rng(41))
+    first_update_evals = traj.iterates[1][2]
+    assert 2 * 40 * d <= first_update_evals <= 2 * 40 * d + 2 * (1 + 30)
 
 
 def test_gd_budget_exactness_random_configs():
@@ -357,8 +381,9 @@ def test_gd_budget_exactness_random_configs():
                         float(rng.uniform(0, 1)), seed=rng.integers(2 ** 32))
         dom = BoxDomain.interval(-10, 10, d)
         traj = cor_cfd_gd_run(o, dom, np.full(d, 3.0),
-                              CorCfdConfig(bootstrap_reps=20), ArmijoParams(),
-                              n0, R, budget, np.random.default_rng(rng.integers(2 ** 32)))
+                              CorCfdConfig(pilot_count=R, batch_pairs=n0, bootstrap_reps=20),
+                              ArmijoParams(), budget,
+                              np.random.default_rng(rng.integers(2 ** 32)))
         assert traj.final_n_count == o.eval_counter
 
 
@@ -378,3 +403,15 @@ def test_gain_schedule_validation():
         GainSchedule(a=1.0, c=-1.0)
     with pytest.raises(ValueError):
         GainSchedule(a=1.0, c=1.0, A=-1.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_gains_rejected(bad):
+    with pytest.raises(ValueError, match="must be finite"):
+        GainSchedule(a=bad, c=1.0)
+    with pytest.raises(ValueError, match="must be finite"):
+        GainSchedule.kw(c=bad)
+    with pytest.raises(ValueError, match="must be finite"):
+        GainSchedule.spsa(1.0, 1.0, A=bad)
+    with pytest.raises(ValueError, match="must be finite"):
+        ArmijoParams(a0=bad)
