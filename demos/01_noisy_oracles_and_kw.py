@@ -31,9 +31,9 @@ for sigma in (0.1, 1.0, 10.0):
     oracle = quartic.make_oracle(noise_sigma=sigma, seed=42)
     traj = kw_run(oracle, domain, 30.0, GainSchedule.kw(1.0, 1.0),
                   budget_pairs=10_000)
-    xs = traj.scalar_series()
-    flips = oscillatory_period(traj, -50.0, 50.0)
-    settle = oscillation_settle_index(traj, -50.0, 50.0)
+    xs = traj.iterates[:, 0]
+    flips = oscillatory_period(xs, -50.0, 50.0)
+    settle = oscillation_settle_index(xs, -50.0, 50.0)
     print(f"sigma={sigma:>4}: first iterates {np.round(xs[:5], 1)}, "
           f"boundary flips={flips}, settles after {settle} pairs, "
           f"final x={xs[-1]:+.3f}")

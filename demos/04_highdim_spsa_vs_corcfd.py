@@ -39,10 +39,11 @@ for pairs in (500, 1000, 2500, 5000, 10_000, 25_000, 64_000):
     marker = "<-- crossover region" if gc < gs < 1e7 and pairs <= 5000 else ""
     print(f"{pairs:>8,} | {gs:>14,.0f} | {gc:>18,.0f} {marker}")
 
-print(f"\nfinal solution gaps: SPSA {solution_gap(spsa.final_x, fn.optimum_point):.2f}, "
+print("\nfinal solution gaps: "
+      f"SPSA {solution_gap(spsa.iterates[-1], fn.optimum_point):.2f}, "
       f"Cor-CFD-GD {solution_gap(corcfd.at_pair_budget(budget), fn.optimum_point):.2f}")
 print(f"Cor-CFD-GD performed {len(corcfd.iterates) - 1} iterations and left "
-      f"{budget - corcfd.iterates[-1][2] // 2:,} pairs unused (too few to fund "
+      f"{budget - corcfd.evaluations[-1] // 2:,} pairs unused (too few to fund "
       f"another gradient); SPSA performed {len(spsa.iterates) - 1:,} iterations.")
 print("""
 SPSA leads while the batch method is still paying for its first gradient

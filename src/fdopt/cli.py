@@ -61,7 +61,7 @@ def cmd_run(args) -> int:
     header = (["iter", "pairs_used"] + [f"x_{i + 1}" for i in range(fn.dimension)]
               + ["solution_gap", "optimality_gap"])
     rows = []
-    for k, x, n_count in traj.iterates:
+    for k, (x, n_count) in enumerate(zip(traj.iterates, traj.evaluations)):
         # report only iterates produced within the pair budget; a final
         # in-flight line search may run past the cap
         if k == 0 or n_count > 2 * config.largest_budget:

@@ -37,8 +37,9 @@ class CfdConfig:
     def __post_init__(self):
         if self.batch_pairs < 1:
             raise ValueError("batch_pairs must be >= 1")
-        if self.perturbation <= 0:
-            raise ValueError("perturbation must be > 0")
+        if not 0 < self.perturbation < np.inf:  # also false for NaN
+            raise ValueError(
+                f"perturbation={self.perturbation!r} must be finite and > 0")
 
 
 @dataclass(frozen=True)

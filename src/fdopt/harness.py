@@ -36,6 +36,9 @@ class GridSpec:
     def __post_init__(self):
         if not self.a_values or not self.c_values:
             raise ConfigurationError("grid needs at least one a value and one c value")
+        for key, values in (("a_values", self.a_values), ("c_values", self.c_values)):
+            if not all(0 < v < np.inf for v in values):  # also false for NaN
+                raise ConfigurationError(f"[grid] {key} {values} must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -61,6 +64,13 @@ class EstimateParams:
     point: np.ndarray
     n: int = 1000
     sigma: float = 0.0
+
+    def __post_init__(self):
+        if not np.isfinite(self.point).all():
+            raise ConfigurationError("[estimate] point must have finite coordinates")
+        if not 0 <= self.sigma < np.inf:  # also false for NaN
+            raise ConfigurationError(
+                f"[estimate] sigma={self.sigma!r} must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -118,6 +128,8 @@ class ExperimentConfig:
         fn = get_test_function(self.function, self.dimension)
         if self.x0.shape[0] != fn.dimension:
             raise ConfigurationError("x0 does not match the function dimension")
+        if not np.isfinite(self.x0).all():
+            raise ConfigurationError("x0 must have finite coordinates")
 
     @property
     def budget_multiplier(self) -> int:
@@ -205,7 +217,7 @@ def _replication_gaps(config: ExperimentConfig, algorithm: str, sigma_index: int
     settle = None
     if fn.dimension == 1:
         settle = metrics.oscillation_settle_index(
-            traj, float(config.domain.lower[0]), float(config.domain.upper[0]))
+            traj.iterates[:, 0], config.domain.lower[0], config.domain.upper[0])
     return sol, opt, settle
 
 

@@ -43,37 +43,34 @@ def _boundary_flips(series, lower: float, upper: float) -> np.ndarray:
 
 
 def _scalar_series(series) -> np.ndarray:
-    if hasattr(series, "scalar_series"):
-        return series.scalar_series()
     xs = np.asarray(series, dtype=float)
-    if xs.ndim == 2 and xs.shape[1] == 1:
-        xs = xs[:, 0]
     if xs.ndim != 1:
-        raise ValueError("oscillation statistics require a one-dimensional trajectory")
+        raise ValueError("oscillation statistics require a series of scalar iterates")
     return xs
 
 
-def oscillatory_period(trajectory, lower: float, upper: float) -> int:
+def oscillatory_period(series, lower: float, upper: float) -> int:
     """Count of consecutive-iterate flips between opposite boundaries.
 
     Cardinality of ``{k >= 2 : x_k and x_{k-1} sit on opposite bounds}`` over
-    the iterate sequence ``x_0, x_1, ...``; staying on one boundary is not a
-    flip, and the pair ``(x_0, x_1)`` is excluded.
+    the scalar iterates ``x_0, x_1, ...`` (``traj.iterates[:, 0]`` of a 1-d
+    run); staying on one boundary is not a flip, and the pair ``(x_0, x_1)``
+    is excluded.
     """
-    flips = _boundary_flips(trajectory, lower, upper)
+    flips = _boundary_flips(series, lower, upper)
     if flips.size <= 1:
         return 0
     return int(flips[1:].sum())
 
 
-def oscillation_settle_index(trajectory, lower: float, upper: float) -> int:
+def oscillation_settle_index(series, lower: float, upper: float) -> int:
     """Iteration index of the last opposite-boundary flip (0 if none).
 
     This is the "sample pairs until the oscillation stops" statistic reported
     by the benchmark tables; on a single leading flip chain it equals
     ``oscillatory_period + 1``.
     """
-    flips = _boundary_flips(trajectory, lower, upper)
+    flips = _boundary_flips(series, lower, upper)
     if flips.size <= 1:
         return 0
     idx = np.nonzero(flips[1:])[0]

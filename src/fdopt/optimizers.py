@@ -52,46 +52,23 @@ class GainSchedule:
 class Trajectory:
     """Iterates of one optimizer run, each stamped with the evaluation count.
 
-    ``iterates[i] = (k, x_k, n_count_at_k)``; the first entry is the starting
-    point at count 0. ``ls_exhausted`` lists iteration indices whose Armijo
-    search ran out of backtracks (the step was still taken).
+    ``iterates`` has shape ``(m, d)``: row ``k`` is ``x_k`` and row 0 is the
+    starting point. ``evaluations`` has shape ``(m,)`` and is increasing: entry
+    ``k`` is the number of evaluations the run had used when it produced
+    ``x_k`` (0 for the start). ``ls_exhausted`` lists iteration indices whose
+    Armijo search ran out of backtracks (the step was still taken).
     """
 
-    iterates: list[tuple[int, np.ndarray, int]]
+    iterates: np.ndarray
+    evaluations: np.ndarray
     ls_exhausted: list[int] = field(default_factory=list)
-
-    @property
-    def dimension(self) -> int:
-        return self.iterates[0][1].shape[0]
-
-    @property
-    def final_x(self) -> np.ndarray:
-        return self.iterates[-1][1]
-
-    @property
-    def final_n_count(self) -> int:
-        return self.iterates[-1][2]
 
     def at_pair_budget(self, pairs: int) -> np.ndarray:
         """Last iterate produced with at most ``2 * pairs`` evaluations."""
-        best = None
-        for _, x, n_count in self.iterates:
-            if n_count <= 2 * pairs:
-                best = x
-            else:
-                break
-        if best is None:
+        i = int(np.searchsorted(self.evaluations, 2 * pairs, side="right")) - 1
+        if i < 0:
             raise ValueError(f"no iterate within a budget of {pairs} pairs")
-        return best
-
-    def xs(self) -> np.ndarray:
-        """All iterates as an array of shape (iterations + 1, d)."""
-        return np.stack([x for _, x, _ in self.iterates])
-
-    def scalar_series(self) -> np.ndarray:
-        if self.dimension != 1:
-            raise ValueError("scalar series requires a one-dimensional trajectory")
-        return np.array([x[0] for _, x, _ in self.iterates])
+        return self.iterates[i]
 
 
 @dataclass(frozen=True)
@@ -173,18 +150,19 @@ def kw_run(oracle: NoisyOracle, domain: BoxDomain, x0: float,
     upper = float(domain.upper[0])
     x = min(max(float(x0), lower), upper)
     start = oracle.eval_counter
-    iterates = [(0, np.array([x]), 0)]
-    k = 0
-    while oracle.eval_counter - start < 2 * budget_pairs:
-        k += 1
+    xs = np.empty(budget_pairs + 1)
+    evaluations = np.zeros(budget_pairs + 1, dtype=int)
+    xs[0] = x
+    for k in range(1, budget_pairs + 1):  # every step charges exactly one pair
         a_k = schedule.a / (schedule.A + k) ** schedule.a_exponent
         c_k = schedule.c / k ** schedule.c_exponent
         y_plus = oracle.evaluate((x + c_k,))
         y_minus = oracle.evaluate((x - c_k,))
         g = (y_plus - y_minus) / (2.0 * c_k)
         x = min(max(x - a_k * g, lower), upper)
-        iterates.append((k, np.array([x]), oracle.eval_counter - start))
-    return Trajectory(iterates)
+        xs[k] = x
+        evaluations[k] = oracle.eval_counter - start
+    return Trajectory(xs[:, None], evaluations)
 
 
 def spsa_run(oracle: NoisyOracle, domain: BoxDomain, x0, schedule: GainSchedule,
@@ -210,7 +188,9 @@ def spsa_run(oracle: NoisyOracle, domain: BoxDomain, x0, schedule: GainSchedule,
     c, gamma = schedule.c, schedule.c_exponent
     evaluate = oracle.evaluate
     start = oracle.eval_counter
-    iterates = [(0, x, 0)]
+    xs = np.empty((budget_pairs + 1, d))
+    evaluations = np.zeros(budget_pairs + 1, dtype=int)
+    xs[0] = x
     rows = max(1, 16384 // d)  # 128 KiB of directions per draw, whatever d is
     k = 0
     while k < budget_pairs:  # every step charges exactly one pair
@@ -224,9 +204,9 @@ def spsa_run(oracle: NoisyOracle, domain: BoxDomain, x0, schedule: GainSchedule,
             step = x - a_k * g
             if not np.isfinite(step).all():
                 raise ValueError("point has non-finite coordinates")
-            x = np.minimum(np.maximum(step, lower), upper)
-            iterates.append((k, x, oracle.eval_counter - start))
-    return Trajectory(iterates)
+            x = np.minimum(np.maximum(step, lower, out=step), upper, out=xs[k])
+            evaluations[k] = oracle.eval_counter - start
+    return Trajectory(xs, evaluations)
 
 
 def cor_cfd_gd_run(oracle: NoisyOracle, domain: BoxDomain, x0, cfg: CorCfdConfig,
@@ -259,7 +239,7 @@ def cor_cfd_gd_run(oracle: NoisyOracle, domain: BoxDomain, x0, cfg: CorCfdConfig
             f"({d * n0} pairs)")
     x = domain.project(as_point(x0, d))
     start = oracle.eval_counter
-    iterates = [(0, x, 0)]
+    xs, evaluations = [x], [0]
     ls_exhausted: list[int] = []
 
     def next_centers(estimate: GradientEstimate, centers: np.ndarray, n: int) -> np.ndarray:
@@ -289,7 +269,8 @@ def cor_cfd_gd_run(oracle: NoisyOracle, domain: BoxDomain, x0, cfg: CorCfdConfig
         if not accepted:
             ls_exhausted.append(k)
         x = domain.project(x - a_k * g.g)
-        iterates.append((k, x, used))
+        xs.append(x)
+        evaluations.append(used)
         n_k = batch_schedule(n0, R, k)
         if used + 2 * d * n_k > cap:
             break
@@ -299,4 +280,4 @@ def cor_cfd_gd_run(oracle: NoisyOracle, domain: BoxDomain, x0, cfg: CorCfdConfig
         g = cor_cfd_gradient(oracle, x, replace(cfg, batch_pairs=n_k), rng,
                              base_perturbations=base)
         centers = next_centers(g, centers, n_k)
-    return Trajectory(iterates, ls_exhausted=ls_exhausted)
+    return Trajectory(np.stack(xs), np.array(evaluations), ls_exhausted)

@@ -58,10 +58,6 @@ class BoxDomain:
     def dimension(self) -> int:
         return self.lower.shape[0]
 
-    def contains(self, x) -> bool:
-        p = as_point(x, self.dimension)
-        return bool(np.all(p >= self.lower) and np.all(p <= self.upper))
-
     def project(self, x) -> np.ndarray:
         """Componentwise clamp into the box. Idempotent; bounds are hit exactly."""
         p = as_point(x, self.dimension)

@@ -125,7 +125,7 @@ def test_criterion_5_fn213_crossover():
 
     # just before Cor-CFD-GD's first update lands (hence before its second
     # gradient completes), SPSA has already been iterating for >1000 pairs
-    first_update_pairs = traj_c.iterates[1][2] // 2
+    first_update_pairs = traj_c.evaluations[1] // 2
     early = first_update_pairs - 1
     early_ok = gap(traj_s, early) < gap(traj_c, early)
     final_ok = gap(traj_c, budget) < gap(traj_s, budget)
@@ -230,17 +230,17 @@ def test_criterion_9_budget_exactness():
     fn = get_test_function("quartic")
     o = fn.make_oracle(1.0, seed=(ACCEPTANCE_SEED, 10))
     traj = kw_run(o, DOMAIN_1D, 30.0, GainSchedule.kw(), 500)
-    ok &= traj.final_n_count == o.eval_counter == 1000
+    ok &= traj.evaluations[-1] == o.eval_counter == 1000
 
     o = fn.make_oracle(1.0, seed=(ACCEPTANCE_SEED, 11))
     traj = spsa_run(o, DOMAIN_1D, np.array([30.0]), GainSchedule.spsa(1e-3, 1.0, A=50),
                     500, np.random.default_rng(0))
-    ok &= traj.final_n_count == o.eval_counter == 1000
+    ok &= traj.evaluations[-1] == o.eval_counter == 1000
 
     o = fn.make_oracle(1.0, seed=(ACCEPTANCE_SEED, 12))
     traj = cor_cfd_gd_run(o, DOMAIN_1D, np.array([30.0]), CorCfdConfig(),
                           ArmijoParams(), 500, np.random.default_rng(1))
-    ok &= traj.final_n_count == o.eval_counter
+    ok &= traj.evaluations[-1] == o.eval_counter
     _report("9 budget exactness", ok, "100 gradient configs + 3 optimizer runs", t0)
 
 

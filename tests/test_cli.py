@@ -174,6 +174,24 @@ def test_bench_bad_gains_exit_2(tmp_path, capsys, section):
     assert not (out / "table.csv").exists()
 
 
+# Each bad value is rejected while the config loads, before any output exists.
+@pytest.mark.parametrize("command, line, bad, output", [
+    ("estimate", "sigma = 0.5", "sigma = nan", "estimate.csv"),
+    ("estimate", "sigma = 0.5", "sigma = -1", "estimate.csv"),
+    ("estimate", "point = 1", "point = nan", "estimate.csv"),
+    ("grid", "a_values = 0.05 1e-3", "a_values = 0.05 nan", "grid.csv"),
+    ("bench", "x0 = 30", "x0 = nan", "table.csv"),
+])
+def test_bad_config_values_exit_2(tmp_path, capsys, command, line, bad, output):
+    path = tmp_path / "bad.cfg"
+    path.write_text(QUARTIC_CFG.replace(line, bad))
+    out = tmp_path / "o"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and bad.split()[0] in err
+    assert not (out / output).exists()
+
+
 def test_bench_deterministic_across_runs_and_workers(config_path, tmp_path):
     out1, out2, out3 = (tmp_path / n for n in ("b1", "b2", "b3"))
     for out, workers in ((out1, None), (out2, None), (out3, "2")):

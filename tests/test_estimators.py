@@ -42,6 +42,9 @@ def test_cfd_pair_rejects_nonpositive_c():
         cfd_pair(o, np.zeros(1), 0, 0.0)
     with pytest.raises(ValueError):
         cfd_pair(o, np.zeros(1), 0, -0.1)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="perturbation"):
+            CfdConfig(1, bad)
 
 
 def _cfd_pair_reference(oracle, x, coord, c):

@@ -133,14 +133,14 @@ def test_kw_budget_accounting():
     o = _oracle(lambda x: float(x[0]) ** 2)
     traj = kw_run(o, DOMAIN, 5.0, GainSchedule.kw(0.1, 1.0), 100)
     assert o.eval_counter == 200
-    assert traj.final_n_count == 200
-    assert len(traj.iterates) == 101  # starting point plus one per pair
+    assert traj.evaluations[-1] == 200
+    assert traj.iterates.shape == (101, 1)  # starting point plus one per pair
 
 
 def test_kw_noiseless_quadratic_contracts():
     o = _oracle(lambda x: float(x[0]) ** 2)
     traj = kw_run(o, DOMAIN, 5.0, GainSchedule.kw(0.1, 1.0), 100)
-    xs = np.abs(traj.scalar_series())
+    xs = np.abs(traj.iterates[:, 0])
     assert np.all(np.diff(xs) < 1e-12)
 
 
@@ -150,9 +150,9 @@ def test_kw_quartic_boundary_oscillation():
     fn = get_test_function("quartic")
     o = fn.make_oracle(0.0, seed=0)
     traj = kw_run(o, DOMAIN, 30.0, GainSchedule.kw(1.0, 1.0), 10_000)
-    assert oscillation_settle_index(traj, -50.0, 50.0) == 5000
-    assert oscillatory_period(traj, -50.0, 50.0) == 4999
-    xs = traj.scalar_series()
+    xs = traj.iterates[:, 0]
+    assert oscillation_settle_index(xs, -50.0, 50.0) == 5000
+    assert oscillatory_period(xs, -50.0, 50.0) == 4999
     assert np.all(xs >= -50.0) and np.all(xs <= 50.0)
 
 
@@ -160,7 +160,7 @@ def test_kw_first_step_hits_lower_bound():
     fn = get_test_function("quartic")
     o = fn.make_oracle(0.0, seed=0)
     traj = kw_run(o, DOMAIN, 30.0, GainSchedule.kw(1.0, 1.0), 1)
-    assert traj.iterates[1][1][0] == -50.0
+    assert traj.iterates[1, 0] == -50.0
 
 
 def test_kw_non_finite_objective_raises_at_oracle():
@@ -180,8 +180,8 @@ def test_spsa_budget_accounting():
     traj = spsa_run(o, dom, np.ones(3), GainSchedule.spsa(0.1, 0.5, A=10),
                     50, np.random.default_rng(0))
     assert o.eval_counter == 100
-    assert len(traj.iterates) == 51
-    assert traj.final_n_count == 100
+    assert traj.iterates.shape == (51, 3)
+    assert traj.evaluations[-1] == 100
 
 
 def test_spsa_iterates_stay_feasible():
@@ -189,7 +189,7 @@ def test_spsa_iterates_stay_feasible():
     dom = BoxDomain.interval(-2, 2, 2)
     traj = spsa_run(o, dom, np.array([1.5, -1.5]), GainSchedule.spsa(1.0, 0.5, A=0),
                     200, np.random.default_rng(5))
-    xs = traj.xs()
+    xs = traj.iterates
     assert np.all(xs >= -2.0) and np.all(xs <= 2.0)
 
 
@@ -204,7 +204,7 @@ def test_spsa_estimator_mean_matches_gradient():
     a = 2.5e-8
     sched = GainSchedule.spsa(a, 0.1, A=0.0)
     traj = spsa_run(o, dom, np.array([1.0, 1.0]), sched, m, np.random.default_rng(6))
-    xs = traj.xs()
+    xs = traj.iterates
     ks = np.arange(1, m + 1)
     a_k = a / (ks + 1) ** 0.602
     g_hat = (xs[:-1] - xs[1:]) / a_k[:, None]
@@ -222,7 +222,7 @@ def _spsa_reference(oracle, domain, x0, schedule, budget_pairs, rng):
     x = domain.project(as_point(x0, oracle.dimension))
     d = oracle.dimension
     start = oracle.eval_counter
-    iterates = [(0, x.copy(), 0)]
+    xs, evaluations = [x.copy()], [0]
     k = 0
     while oracle.eval_counter - start < 2 * budget_pairs:
         k += 1
@@ -233,8 +233,9 @@ def _spsa_reference(oracle, domain, x0, schedule, budget_pairs, rng):
         y_minus = oracle.evaluate(x - c_k * delta)
         g = (y_plus - y_minus) / (2.0 * c_k) * delta
         x = domain.project(x - a_k * g)
-        iterates.append((k, x.copy(), oracle.eval_counter - start))
-    return Trajectory(iterates)
+        xs.append(x.copy())
+        evaluations.append(oracle.eval_counter - start)
+    return Trajectory(np.stack(xs), np.array(evaluations))
 
 
 def _quartic_bowl(x):
@@ -262,10 +263,9 @@ def test_spsa_matches_per_step_reference_bit_for_bit(d, sigma):
     for budget in budgets:
         traj, count = _run_spsa(spsa_run, d, sigma, budget)
         assert count == 2 * budget
-        assert len(traj.iterates) == budget + 1
-        assert np.array_equal(traj.xs(), ref.xs()[:budget + 1])
-        assert ([(k, n) for k, _, n in traj.iterates]
-                == [(k, n) for k, _, n in ref.iterates[:budget + 1]])
+        assert traj.iterates.shape == (budget + 1, d)
+        assert np.array_equal(traj.iterates, ref.iterates[:budget + 1])
+        assert np.array_equal(traj.evaluations, ref.evaluations[:budget + 1])
 
 
 def test_spsa_non_finite_step_raises_like_reference():
@@ -284,7 +284,7 @@ def test_spsa_stored_iterates_share_no_memory():
     o = _oracle(_quartic_bowl, d=3, sigma=1.0, seed=3)
     traj = spsa_run(o, BoxDomain.interval(-2, 2, 3), x0, GainSchedule.spsa(0.05, 0.5),
                     40, np.random.default_rng(3))
-    xs = [x for _, x, _ in traj.iterates] + [x0]
+    xs = list(traj.iterates) + [x0]
     for i, a in enumerate(xs):
         for b in xs[i + 1:]:
             assert not np.shares_memory(a, b)
@@ -317,7 +317,7 @@ def test_gd_insufficient_budget_is_config_error():
 def test_gd_noiseless_quadratic_descends_monotonically():
     o = _oracle(lambda x: float(x[0]) ** 2)
     traj = _gd(o, budget=2000)
-    vals = [x[0] ** 2 for _, x, _ in traj.iterates]
+    vals = [x[0] ** 2 for x in traj.iterates]
     below = False
     for prev, cur in zip(vals, vals[1:]):
         if prev < 1e-4:
@@ -331,17 +331,16 @@ def test_gd_budget_sync_and_early_exit():
     o = _oracle(lambda x: float(x[0]) ** 4, sigma=1.0, seed=9)
     budget = 500
     traj = _gd(o, budget=budget, seed=10)
-    assert traj.final_n_count == o.eval_counter
+    assert traj.evaluations[-1] == o.eval_counter
     # never exceeds the cap by more than one line search worth of trials
-    assert traj.final_n_count <= 2 * budget + 1 + ArmijoParams().max_backtracks
-    counts = [n for _, _, n in traj.iterates]
-    assert all(b > a for a, b in zip(counts, counts[1:]))
+    assert traj.evaluations[-1] <= 2 * budget + 1 + ArmijoParams().max_backtracks
+    assert np.all(np.diff(traj.evaluations) > 0)
 
 
 def test_gd_iterates_stay_feasible_under_noise():
     o = _oracle(lambda x: float(x[0]) ** 4, sigma=10.0, seed=21)
     traj = _gd(o, budget=1000, seed=22)
-    xs = traj.scalar_series()
+    xs = traj.iterates[:, 0]
     assert np.all(xs >= -50.0) and np.all(xs <= 50.0)
 
 
@@ -353,7 +352,7 @@ def test_gd_first_iteration_cost_matches_narrative():
     dom = BoxDomain.interval(-50, 50, 64)
     traj = cor_cfd_gd_run(o, dom, np.tile([3.0, 1.0], 32), CorCfdConfig(),
                           ArmijoParams(), 3000 * 64, np.random.default_rng(31))
-    first_update_evals = traj.iterates[1][2]
+    first_update_evals = traj.evaluations[1]
     assert first_update_evals >= 2 * 20 * 64
     assert first_update_evals <= 2 * 20 * 64 + 2 * (1 + 30)
 
@@ -366,7 +365,7 @@ def test_gd_batch_layout_comes_from_the_config():
     traj = cor_cfd_gd_run(o, BoxDomain.interval(-10, 10, d), np.full(d, 3.0),
                           CorCfdConfig(batch_pairs=40, pilot_count=10), ArmijoParams(),
                           1000, np.random.default_rng(41))
-    first_update_evals = traj.iterates[1][2]
+    first_update_evals = traj.evaluations[1]
     assert 2 * 40 * d <= first_update_evals <= 2 * 40 * d + 2 * (1 + 30)
 
 
@@ -384,16 +383,42 @@ def test_gd_budget_exactness_random_configs():
                               CorCfdConfig(pilot_count=R, batch_pairs=n0, bootstrap_reps=20),
                               ArmijoParams(), budget,
                               np.random.default_rng(rng.integers(2 ** 32)))
-        assert traj.final_n_count == o.eval_counter
+        assert traj.evaluations[-1] == o.eval_counter
+
+
+def _last_iterate_by_scan(traj, pairs):
+    """Reference lookup: walk the iterates in order, stop at the first one
+    stamped past ``2 * pairs``."""
+    best = None
+    for x, n_count in zip(traj.iterates, traj.evaluations):
+        if n_count > 2 * pairs:
+            break
+        best = x
+    return best
 
 
 def test_trajectory_checkpoint_extraction():
     o = _oracle(lambda x: float(x[0]) ** 2)
     traj = kw_run(o, DOMAIN, 5.0, GainSchedule.kw(0.1, 1.0), 50)
     # iterate 10 is the last one produced within 20 evaluations
-    assert traj.at_pair_budget(10)[0] == traj.iterates[10][1][0]
+    assert traj.at_pair_budget(10)[0] == traj.iterates[10, 0]
     # a zero budget only covers the starting point
     assert traj.at_pair_budget(0)[0] == 5.0
+
+    # Cor-CFD-GD stamps are irregular: a gradient plus a line search apart,
+    # and odd whenever the search drew an even number of trials
+    o = _oracle(lambda x: float(x[0]) ** 4, sigma=1.0, seed=9)
+    traj = _gd(o, budget=500, seed=10)
+    stamps = [int(n) for n in traj.evaluations]
+    assert len(set(np.diff(stamps))) > 1 and any(n % 2 for n in stamps)
+    assert len(np.unique(traj.iterates[:, 0])) == len(stamps)  # rows tell apart
+    budgets = {0, stamps[-1] // 2 + 1, 10 ** 6}
+    budgets |= {n // 2 + delta for n in stamps for delta in (-1, 0, 1)}
+    for pairs in sorted(b for b in budgets if b >= 0):
+        assert np.array_equal(traj.at_pair_budget(pairs),
+                              _last_iterate_by_scan(traj, pairs)), pairs
+    with pytest.raises(ValueError, match="no iterate within"):
+        traj.at_pair_budget(-1)
 
 
 def test_gain_schedule_validation():
