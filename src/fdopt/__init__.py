@@ -5,10 +5,10 @@ Cor-CFD gradient descent, and reproduce comparative benchmarks (gap RMSEs,
 boundary-oscillation statistics) over seeded replications.
 """
 
-from .estimators import (CfdConfig, CoordDiagnostics, CorCfdConfig,
-                         DegenerateInputError, GradientEstimate, cfd_batch,
-                         cfd_pair, cor_cfd_coordinate, cor_cfd_gradient,
-                         optimal_c, sample_pilot_perturbations)
+from .estimators import (CfdConfig, CorCfdConfig, DegenerateInputError,
+                         GradientEstimate, cfd_batch, cfd_pair,
+                         cor_cfd_coordinate, cor_cfd_gradient, optimal_c,
+                         sample_pilot_perturbations)
 from .harness import (ALGORITHMS, ExperimentConfig, GridSpec, ReplicationResult,
                       SpsaParams, grid_search_spsa, load_config,
                       replication_seed, run_replications, run_trajectory)
@@ -25,9 +25,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ALGORITHMS", "ArmijoParams", "BoxDomain", "CfdConfig",
-    "ConfigurationError", "CoordDiagnostics", "CorCfdConfig",
-    "DegenerateInputError", "ExperimentConfig", "GainSchedule",
-    "GradientEstimate", "GridSpec", "NoisyOracle", "ReplicationResult",
+    "ConfigurationError", "CorCfdConfig", "DegenerateInputError",
+    "ExperimentConfig", "GainSchedule", "GradientEstimate", "GridSpec",
+    "NoisyOracle", "ReplicationResult",
     "ReplicationSummary", "SpsaParams", "TestFunction", "Trajectory",
     "armijo_search", "batch_schedule", "cfd_batch", "cfd_pair",
     "cor_cfd_coordinate", "cor_cfd_gd_run", "cor_cfd_gradient", "fn213_mean",

@@ -60,15 +60,11 @@ def cmd_run(args) -> int:
 
     header = (["iter", "pairs_used"] + [f"x_{i + 1}" for i in range(fn.dimension)]
               + ["solution_gap", "optimality_gap"])
-    rows = []
-    for k, (x, n_count) in enumerate(zip(traj.iterates, traj.evaluations)):
-        # report only iterates produced within the pair budget; a final
-        # in-flight line search may run past the cap
-        if k == 0 or n_count > 2 * config.largest_budget:
-            continue
-        rows.append([k, n_count / 2.0, *x,
-                     metrics.solution_gap(x, fn.optimum_point),
-                     metrics.optimality_gap(fn.mean_fn(x), fn.optimum_value)])
+    # Row 0 is the starting point; every later iterate is within the budget.
+    rows = [[k, n_count / 2.0, *x, metrics.solution_gap(x, fn.optimum_point),
+             metrics.optimality_gap(fn.mean_fn(x), fn.optimum_value)]
+            for k, (x, n_count) in enumerate(
+                zip(traj.iterates[1:], traj.evaluations[1:]), start=1)]
     out = Path(args.out) / "trajectory.csv"
     _write_csv(out, header, rows)
     print(f"wrote {out} ({len(rows)} iterates, algorithm={config.algorithm}, "
@@ -132,10 +128,8 @@ def cmd_estimate(args) -> int:
     except ValueError as exc:
         raise ConfigurationError(f"invalid [estimate]/[corcfd] combination: {exc}")
     grad = cor_cfd_gradient(oracle, est.point, cfg, rng)
-    rows = []
-    for coord, diag in enumerate(grad.per_coord):
-        rows.append([coord + 1, diag.c_hat, diag.sigma2_hat, diag.mu3_hat,
-                     diag.intercept, grad.g[coord], est.n])
+    columns = (grad.c_hat, grad.sigma2_hat, grad.mu3_hat, grad.intercept, grad.g)
+    rows = [[coord + 1, *values, est.n] for coord, values in enumerate(zip(*columns))]
     out = Path(args.out) / "estimate.csv"
     _write_csv(out, ["coord", "c_hat", "sigma2_hat", "mu3_hat", "intercept",
                      "estimate", "pairs_used"], rows)

@@ -16,7 +16,7 @@ location/scale adjustment so no sample is wasted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -77,37 +77,33 @@ class CorCfdConfig:
 
 
 @dataclass(frozen=True)
-class CoordDiagnostics:
-    """Per-coordinate internals of one Cor-CFD estimate."""
-
-    c_hat: float         # plug-in optimal perturbation after clamping
-    sigma2_hat: float    # estimated noise variance
-    mu3_hat: float       # estimated third derivative (6 * regression slope)
-    intercept: float     # regression estimate of the first derivative
-    mu3_iqr: float = 0.0  # bootstrap interquartile range of mu3_hat
-
-    @property
-    def curvature_significant(self) -> bool:
-        """True when the third-derivative estimate clearly exceeds its
-        bootstrap dispersion, i.e. the curvature signal is real rather than
-        noise. Drives the pilot-scale adaptation of the descent loop."""
-        return abs(self.mu3_hat) > 2.0 * self.mu3_iqr and self.mu3_hat != 0.0
-
-
-@dataclass(frozen=True)
 class GradientEstimate:
-    """Gradient vector plus per-coordinate diagnostics and exact pair usage."""
+    """Gradient vector plus per-coordinate Cor-CFD diagnostics and pair usage.
+
+    ``g`` and every diagnostic field are float arrays of shape ``(d,)``, with
+    entry ``i`` belonging to coordinate ``i``: ``c_hat`` is the plug-in
+    optimal perturbation after clamping, ``sigma2_hat`` the estimated noise
+    variance, ``mu3_hat`` the estimated third derivative (6 times the
+    regression slope), ``intercept`` the regression estimate of the first
+    derivative and ``mu3_iqr`` the bootstrap interquartile range of
+    ``mu3_hat``. ``pairs_used`` is the exact number of sample pairs drawn.
+    """
 
     g: np.ndarray
-    per_coord: list[CoordDiagnostics] = field(default_factory=list)
-    pairs_used: int = 0
+    c_hat: np.ndarray
+    sigma2_hat: np.ndarray
+    mu3_hat: np.ndarray
+    intercept: np.ndarray
+    mu3_iqr: np.ndarray
+    pairs_used: int
 
     @property
-    def mean_sigma2_hat(self) -> float:
-        """Average estimated noise variance across coordinates (0 if none)."""
-        if not self.per_coord:
-            return 0.0
-        return float(np.mean([d.sigma2_hat for d in self.per_coord]))
+    def curvature_significant(self) -> np.ndarray:
+        """Bool ``(d,)`` mask: where the third-derivative estimate clearly
+        exceeds its bootstrap dispersion, i.e. the curvature signal is real
+        rather than noise. Drives the pilot-scale adaptation of the descent
+        loop."""
+        return (np.abs(self.mu3_hat) > 2.0 * self.mu3_iqr) & (self.mu3_hat != 0.0)
 
 
 def _shifted(x: np.ndarray, coord: int, delta: float) -> np.ndarray:
@@ -156,35 +152,31 @@ def sample_pilot_perturbations(cfg: CorCfdConfig, n: int, rng: np.random.Generat
     return scale * u
 
 
-def _fit_quadratic_means(z: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """OLS of pilot means ``y`` on ``z = c^2``: returns (intercept, slope).
+def _fit_slope(quotients: np.ndarray, z: np.ndarray, reps: int,
+               rng: np.random.Generator) -> tuple[float, float, float]:
+    """OLS of the pilot means of ``quotients`` on ``z = c^2``, with a bootstrap.
 
-    With no spread in ``z`` the fit is rank-deficient; the slope is then 0 and
-    the intercept is the plain mean.
+    Returns ``(intercept, slope, slope_iqr)``, the last being the
+    interquartile range of the slope over ``reps`` within-pilot resamples.
+    With no spread in ``z`` the fit is rank-deficient: the slope and its IQR
+    are then 0 and the intercept is the plain mean. The resample indices are
+    drawn in either case, so the stream of ``rng`` does not depend on the
+    pilot spread.
     """
-    zc = z - z.mean()
-    denom = float(zc @ zc)
-    if denom <= 0.0:
-        return float(y.mean()), 0.0
-    slope = float(zc @ (y - y.mean())) / denom
-    intercept = float(y.mean()) - slope * float(z.mean())
-    return intercept, slope
-
-
-def _bootstrap_slope_iqr(quotients: np.ndarray, z: np.ndarray, reps: int,
-                         rng: np.random.Generator) -> float:
-    """Interquartile range of the regression slope over within-pilot resamples."""
     n_pilots, per_pilot = quotients.shape
     idx = rng.integers(0, per_pilot, size=(reps, n_pilots, per_pilot))
-    rows = np.arange(n_pilots)[None, :, None]
-    boot_means = quotients[rows, idx].mean(axis=2)            # (reps, n_pilots)
+    y = quotients.mean(axis=1)
     zc = z - z.mean()
     denom = float(zc @ zc)
     if denom <= 0.0:
-        return 0.0
+        return float(y.mean()), 0.0, 0.0
+    slope = float(zc @ (y - y.mean())) / denom
+    intercept = float(y.mean()) - slope * float(z.mean())
+    rows = np.arange(n_pilots)[None, :, None]
+    boot_means = quotients[rows, idx].mean(axis=2)            # (reps, n_pilots)
     slopes = (boot_means - boot_means.mean(axis=1, keepdims=True)) @ zc / denom
     q75, q25 = np.percentile(slopes, [75.0, 25.0])
-    return float(q75 - q25)
+    return intercept, slope, float(q75 - q25)
 
 
 _MU3_FLOOR = 1e-12
@@ -192,8 +184,11 @@ _BOOTSTRAP_GUARD = 10.0
 
 
 def cor_cfd_coordinate(oracle: NoisyOracle, x, coord: int, cfg: CorCfdConfig,
-                       rng: np.random.Generator) -> tuple[float, CoordDiagnostics]:
+                       rng: np.random.Generator) -> tuple[float, ...]:
     """Cor-CFD estimate of one partial derivative; consumes exactly 2n evaluations.
+
+    Returns ``(estimate, c_hat, sigma2_hat, mu3_hat, intercept, mu3_iqr)``,
+    the diagnostics in the field order of :class:`GradientEstimate`.
 
     Pipeline: draw pilots, collect quotients per pilot, estimate the noise
     variance from within-pilot spread and the third derivative from the
@@ -213,16 +208,13 @@ def cor_cfd_coordinate(oracle: NoisyOracle, x, coord: int, cfg: CorCfdConfig,
         y_minus = oracle.evaluate_batch(_shifted(p, coord, -c), b)
         quotients[r] = (y_plus - y_minus) / (2.0 * c)
 
-    pilot_means = quotients.mean(axis=1)
     pilot_vars = quotients.var(axis=1, ddof=1)
     # Var[quotient] = sigma^2 / (2 c^2), inverted per pilot and averaged.
     sigma2_hat = float(np.mean(2.0 * pilots ** 2 * pilot_vars))
 
     z = pilots ** 2
-    intercept, slope = _fit_quadratic_means(z, pilot_means)
+    intercept, slope, slope_iqr = _fit_slope(quotients, z, cfg.bootstrap_reps, rng)
     mu3_hat = 6.0 * slope
-
-    slope_iqr = _bootstrap_slope_iqr(quotients, z, cfg.bootstrap_reps, rng)
     unstable = slope_iqr > _BOOTSTRAP_GUARD * abs(slope)
 
     if sigma2_hat <= 0.0 or abs(mu3_hat) < _MU3_FLOOR or unstable:
@@ -238,8 +230,7 @@ def cor_cfd_coordinate(oracle: NoisyOracle, x, coord: int, cfg: CorCfdConfig,
     recycled = target_mean + (pilots / c_hat)[:, None] * (quotients - fitted[:, None])
     estimate = float(recycled.mean())
 
-    return estimate, CoordDiagnostics(c_hat, sigma2_hat, mu3_hat, intercept,
-                                      mu3_iqr=6.0 * slope_iqr)
+    return estimate, c_hat, sigma2_hat, mu3_hat, intercept, 6.0 * slope_iqr
 
 
 def cor_cfd_gradient(oracle: NoisyOracle, x, cfg: CorCfdConfig,
@@ -255,12 +246,11 @@ def cor_cfd_gradient(oracle: NoisyOracle, x, cfg: CorCfdConfig,
     """
     p = as_point(x, oracle.dimension)
     d = oracle.dimension
-    g = np.empty(d)
-    diagnostics: list[CoordDiagnostics] = []
+    rows = []
     for coord in range(d):
         coord_cfg = cfg
         if base_perturbations is not None:
             coord_cfg = replace(cfg, base_perturbation=float(base_perturbations[coord]))
-        g[coord], diag = cor_cfd_coordinate(oracle, p, coord, coord_cfg, rng)
-        diagnostics.append(diag)
-    return GradientEstimate(g=g, per_coord=diagnostics, pairs_used=d * cfg.batch_pairs)
+        rows.append(cor_cfd_coordinate(oracle, p, coord, coord_cfg, rng))
+    # One contiguous (d,) array per field, in the order the tuples carry them.
+    return GradientEstimate(*np.array(rows).T.copy(), pairs_used=d * cfg.batch_pairs)

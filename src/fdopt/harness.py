@@ -104,6 +104,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.replications < 1:
             raise ConfigurationError("replications must be >= 1")
+        if self.workers < 1:
+            raise ConfigurationError(f"workers={self.workers} must be >= 1")
+        if self.master_seed < 0:
+            raise ConfigurationError(f"master_seed={self.master_seed} must be >= 0")
         if not self.noise_levels:
             raise ConfigurationError("at least one noise level is required")
         for sigma in self.noise_levels:

@@ -56,7 +56,9 @@ class Trajectory:
     starting point. ``evaluations`` has shape ``(m,)`` and is increasing: entry
     ``k`` is the number of evaluations the run had used when it produced
     ``x_k`` (0 for the start). ``ls_exhausted`` lists iteration indices whose
-    Armijo search ran out of backtracks (the step was still taken).
+    Armijo search accepted no trial. The smallest trial step is still taken,
+    unless the search was cut short by the evaluation budget: then ``x_k``
+    repeats ``x_{k-1}``.
     """
 
     iterates: np.ndarray
@@ -95,16 +97,16 @@ def armijo_search(oracle: NoisyOracle, x, g, params: ArmijoParams) -> tuple[floa
     """Backtracking line search under the noise-relaxed Armijo condition.
 
     Accepts the first step ``a`` (from ``a0`` downward by factors of ``l2``)
-    with ``Y(x - a g) <= Y(x) - l1 a g.g + 2 sigma2``, where ``sigma2`` is
-    ``g.mean_sigma2_hat`` for a :class:`GradientEstimate` and 0 for a plain
-    vector. One fresh baseline evaluation of ``Y(x)`` is drawn per search and
-    reused across backtracks.
+    with ``Y(x - a g) <= Y(x) - l1 a g.g + 2 sigma2``, where ``sigma2`` is the
+    mean of ``g.sigma2_hat`` for a :class:`GradientEstimate` and 0 for a
+    plain vector. One fresh baseline evaluation of ``Y(x)`` is drawn per
+    search and reused across backtracks.
     Returns ``(a, evaluations_used, accepted)``; when the backtrack budget runs
     out, the smallest trial step is returned with ``accepted=False``.
     """
     p = as_point(x, oracle.dimension)
     if isinstance(g, GradientEstimate):
-        g_vec, relax = g.g, 2.0 * g.mean_sigma2_hat
+        g_vec, relax = g.g, 2.0 * float(np.mean(g.sigma2_hat))
     else:
         g_vec, relax = np.asarray(g, dtype=float), 0.0
     gg = float(g_vec @ g_vec)
@@ -217,10 +219,14 @@ def cor_cfd_gd_run(oracle: NoisyOracle, domain: BoxDomain, x0, cfg: CorCfdConfig
     Starts from a gradient at batch ``n0 = cfg.batch_pairs`` with
     ``R = cfg.pilot_count`` pilots; each iteration runs the line search
     (charging its evaluations), takes a projected step, grows the batch to
-    ``batch_schedule(n0, R, k)``, and estimates a fresh gradient. The loop
-    exits when the cap of ``2 * budget_pairs`` evaluations is reached or the
-    remaining budget cannot fund the next gradient, so late sample pairs may
-    be left unused. The Armijo noise term comes from the current gradient.
+    ``batch_schedule(n0, R, k)``, and estimates a fresh gradient. The cap of
+    ``2 * budget_pairs`` evaluations is hard: a gradient starts only if the
+    budget can also pay for the baseline and one trial of the search after
+    it, so late sample pairs may be left unused, and a search gets no more
+    backtracks than the remaining budget pays for. If a search cut short that
+    way accepts no trial, no step is taken: the current ``x`` is recorded
+    again and listed in ``ls_exhausted``, and the run ends. The Armijo noise
+    term comes from the current gradient.
 
     The pilot scale is adapted per coordinate between iterations: where the
     estimated third derivative clearly exceeds its bootstrap dispersion, the
@@ -233,10 +239,10 @@ def cor_cfd_gd_run(oracle: NoisyOracle, domain: BoxDomain, x0, cfg: CorCfdConfig
     d = oracle.dimension
     n0, R = cfg.batch_pairs, cfg.pilot_count
     cap = 2 * budget_pairs
-    if 2 * d * n0 > cap:
+    if 2 * d * n0 + 2 > cap:
         raise ConfigurationError(
             f"budget of {budget_pairs} pairs cannot fund the initial gradient "
-            f"({d * n0} pairs)")
+            f"({d * n0} pairs) and one line-search trial")
     x = domain.project(as_point(x0, d))
     start = oracle.eval_counter
     xs, evaluations = [x], [0]
@@ -244,35 +250,34 @@ def cor_cfd_gd_run(oracle: NoisyOracle, domain: BoxDomain, x0, cfg: CorCfdConfig
 
     def next_centers(estimate: GradientEstimate, centers: np.ndarray, n: int) -> np.ndarray:
         scale = cfg.base_perturbation * float(n) ** -0.1
-        out = np.empty(d)
-        for i, diag in enumerate(estimate.per_coord):
-            if diag.curvature_significant and diag.c_hat < 0.25 * centers[i]:
-                # Regime change: real curvature demands probes far below
-                # anything tried, so the current scale is outside the valid
-                # Taylor range.
-                out[i] = diag.c_hat
-            elif diag.curvature_significant:
-                out[i] = min(centers[i], scale)
-            else:
-                out[i] = min(4.0 * centers[i], scale)
-        return out
+        significant = estimate.curvature_significant
+        # Significant curvature with c_hat far below the center is a regime
+        # change: real curvature demands probes far below anything tried, so
+        # the current scale is outside the valid Taylor range. Elsewhere the
+        # center holds (significant) or grows, capped at the base scale.
+        return np.where(significant & (estimate.c_hat < 0.25 * centers), estimate.c_hat,
+                        np.minimum(np.where(significant, centers, 4.0 * centers), scale))
 
     centers = np.full(d, cfg.base_perturbation * float(n0) ** -0.1)
     g = cor_cfd_gradient(oracle, x, cfg, rng)
     centers = next_centers(g, centers, n0)
 
     k = 0
-    while oracle.eval_counter - start < cap:
-        a_k, _, accepted = armijo_search(oracle, x, g, armijo)
+    while True:
+        left = cap - (oracle.eval_counter - start)  # at least 2 here
+        cut = left < 1 + armijo.max_backtracks
+        search = replace(armijo, max_backtracks=left - 1) if cut else armijo
+        a_k, _, accepted = armijo_search(oracle, x, g, search)
         used = oracle.eval_counter - start
         k += 1
         if not accepted:
             ls_exhausted.append(k)
-        x = domain.project(x - a_k * g.g)
+        if accepted or not cut:
+            x = domain.project(x - a_k * g.g)
         xs.append(x)
         evaluations.append(used)
         n_k = batch_schedule(n0, R, k)
-        if used + 2 * d * n_k > cap:
+        if used + 2 * d * n_k + 2 > cap:
             break
         # Feed the adapted centers through the pilot base scale so pilots at
         # batch n_k come out as center * U(1 +- spread).

@@ -175,18 +175,25 @@ def test_bench_bad_gains_exit_2(tmp_path, capsys, section):
 
 
 # Each bad value is rejected while the config loads, before any output exists.
+# A `line` that starts with "--" is a flag: the file stays valid and the flag
+# passes the bad value of the key it overrides.
 @pytest.mark.parametrize("command, line, bad, output", [
     ("estimate", "sigma = 0.5", "sigma = nan", "estimate.csv"),
     ("estimate", "sigma = 0.5", "sigma = -1", "estimate.csv"),
     ("estimate", "point = 1", "point = nan", "estimate.csv"),
     ("grid", "a_values = 0.05 1e-3", "a_values = 0.05 nan", "grid.csv"),
     ("bench", "x0 = 30", "x0 = nan", "table.csv"),
+    ("bench", "replications = 3", "workers = 0", "table.csv"),
+    ("bench", "master_seed = 777", "master_seed = -1", "table.csv"),
+    ("bench", "--workers", "workers = -3", "table.csv"),
+    ("run", "--seed", "master_seed = -1", "trajectory.csv"),
 ])
 def test_bad_config_values_exit_2(tmp_path, capsys, command, line, bad, output):
     path = tmp_path / "bad.cfg"
-    path.write_text(QUARTIC_CFG.replace(line, bad))
+    flags = [line, bad.split()[-1]] if line.startswith("--") else []
+    path.write_text(QUARTIC_CFG if flags else QUARTIC_CFG.replace(line, bad))
     out = tmp_path / "o"
-    assert main([command, "--config", str(path), "--out", str(out)]) == 2
+    assert main([command, "--config", str(path), "--out", str(out), *flags]) == 2
     err = capsys.readouterr().err
     assert "configuration error" in err and bad.split()[0] in err
     assert not (out / output).exists()
@@ -285,6 +292,17 @@ FN213_CFG = textwrap.dedent("""
 """)
 
 
+# Cor-CFD-GD in 8 dimensions: the run takes every branch of the pilot-center
+# update (61 of its 96 coordinate estimates show significant curvature), and
+# the estimate writes one row per coordinate.
+FN213_CORCFD_CFG = FN213_CFG.replace("algorithm = spsa", "algorithm = corcfd") + textwrap.dedent("""
+    [estimate]
+    point = 2 0.5
+    n = 60
+    sigma = 1
+""")
+
+
 def _golden(command, algorithm, output, digest, config=GOLDEN_CFG, label=""):
     return pytest.param(command, algorithm, output, digest, config,
                         id=label + "-".join((command, algorithm, output, digest)))
@@ -308,6 +326,12 @@ def _golden(command, algorithm, output, digest, config=GOLDEN_CFG, label=""):
     _golden("run", "spsa", "trajectory.csv",
             "34fdd79286e8c6c22e7bcef5415c4bc4470637944f1dc776a3281d3516874883",
             config=FN213_CFG, label="fn213-"),
+    _golden("run", "corcfd", "trajectory.csv",
+            "25fa2c803e44425ea5ad825bf436a8f58768f7d7c7e31a1284ebb45066d53c5d",
+            config=FN213_CORCFD_CFG, label="fn213-"),
+    _golden("estimate", "corcfd", "estimate.csv",
+            "0b7cdcbf681f4c36ea6c6a08bf5c214a448d282160d184ee97e20f56efec19fa",
+            config=FN213_CORCFD_CFG, label="fn213-"),
 ])
 def test_golden_output_bytes(tmp_path, command, algorithm, output, digest, config):
     path = tmp_path / "golden.cfg"

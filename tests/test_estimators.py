@@ -190,33 +190,33 @@ def test_coordinate_noiseless_quartic_recovers_regression():
     # are exact up to rounding
     o = _oracle(lambda x: float(x[0]) ** 4)
     cfg = CorCfdConfig(pilot_count=10, batch_pairs=1000)
-    est, diag = cor_cfd_coordinate(o, np.array([1.0]), 0, cfg,
-                                   np.random.default_rng(3))
+    est, c_hat, _, mu3_hat, intercept, _ = cor_cfd_coordinate(
+        o, np.array([1.0]), 0, cfg, np.random.default_rng(3))
     assert o.eval_counter == 2000
-    assert diag.intercept == pytest.approx(4.0, abs=1e-9)
-    assert diag.mu3_hat == pytest.approx(24.0, abs=1e-9)
-    assert est == pytest.approx(4.0 + 4.0 * diag.c_hat ** 2, abs=1e-6)
+    assert intercept == pytest.approx(4.0, abs=1e-9)
+    assert mu3_hat == pytest.approx(24.0, abs=1e-9)
+    assert est == pytest.approx(4.0 + 4.0 * c_hat ** 2, abs=1e-6)
 
 
 def test_coordinate_noiseless_linear_is_exact():
     o = _oracle(lambda x: -7.0 * float(x[0]))
     cfg = CorCfdConfig(pilot_count=5, batch_pairs=20)
-    est, diag = cor_cfd_coordinate(o, np.array([2.0]), 0, cfg,
-                                   np.random.default_rng(4))
+    est, _, sigma2_hat, *_ = cor_cfd_coordinate(o, np.array([2.0]), 0, cfg,
+                                                np.random.default_rng(4))
     assert est == pytest.approx(-7.0, abs=1e-12)
-    assert diag.sigma2_hat == pytest.approx(0.0, abs=1e-20)
+    assert sigma2_hat == pytest.approx(0.0, abs=1e-20)
 
 
 def test_coordinate_recycled_mean_matches_fit_when_noiseless():
     # with sigma=0 the recycled average equals the fitted mean at c_hat
     o = _oracle(lambda x: float(x[0]) ** 3)
     cfg = CorCfdConfig(pilot_count=4, batch_pairs=16)
-    est, diag = cor_cfd_coordinate(o, np.array([0.5]), 0, cfg,
-                                   np.random.default_rng(8))
+    est, c_hat, _, mu3_hat, intercept, _ = cor_cfd_coordinate(
+        o, np.array([0.5]), 0, cfg, np.random.default_rng(8))
     mu3 = 6.0
-    expected = diag.intercept + (diag.mu3_hat / 6.0) * diag.c_hat ** 2
+    expected = intercept + (mu3_hat / 6.0) * c_hat ** 2
     assert est == pytest.approx(expected, abs=1e-9)
-    assert diag.mu3_hat == pytest.approx(mu3, abs=1e-9)
+    assert mu3_hat == pytest.approx(mu3, abs=1e-9)
 
 
 def test_coordinate_mse_decreases_with_batch():
@@ -228,10 +228,29 @@ def test_coordinate_mse_decreases_with_batch():
         for rep in range(200):
             o = _oracle(lambda x: float(x[0]) ** 4, sigma=1.0, seed=(n, rep))
             rng = np.random.default_rng((n, rep, 1))
-            est, _ = cor_cfd_coordinate(o, np.array([1.0]), 0, cfg, rng)
+            est = cor_cfd_coordinate(o, np.array([1.0]), 0, cfg, rng)[0]
             errs.append(est - 4.0)
         mses.append(float(np.mean(np.square(errs))))
     assert mses[0] > mses[1] > mses[2]
+
+
+def test_coordinate_without_pilot_spread_is_rank_deficient():
+    # every pilot sits at the same perturbation, so the regression has no
+    # slope to fit; the bootstrap indices are drawn anyway, which keeps the
+    # generator's stream independent of the spread
+    R, b, reps = 5, 4, 30
+    cfg = CorCfdConfig(pilot_count=R, batch_pairs=R * b, pilot_spread=0.0,
+                       bootstrap_reps=reps)
+    o = _oracle(lambda x: float(x[0]) ** 4, sigma=1.0, seed=5)
+    rng = np.random.default_rng(6)
+    _, c_hat, _, mu3_hat, _, mu3_iqr = cor_cfd_coordinate(o, np.array([1.0]), 0,
+                                                         cfg, rng)
+    assert mu3_hat == 0.0 and mu3_iqr == 0.0
+    assert c_hat == pytest.approx((R * b) ** -0.1, rel=1e-14)  # the common pilot
+    ref = np.random.default_rng(6)
+    ref.uniform(size=R)
+    ref.integers(0, b, size=(reps, R, b))
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_gradient_quadratic_bowl():
@@ -255,12 +274,11 @@ def test_gradient_pairs_accounting_d64():
 def test_gradient_d1_reduces_to_coordinate():
     cfg = CorCfdConfig(pilot_count=5, batch_pairs=20)
     o1 = _oracle(lambda x: float(x[0]) ** 4, sigma=0.5, seed=11)
-    est, diag = cor_cfd_coordinate(o1, np.array([1.0]), 0, cfg,
-                                   np.random.default_rng(12))
+    row = cor_cfd_coordinate(o1, np.array([1.0]), 0, cfg, np.random.default_rng(12))
     o2 = _oracle(lambda x: float(x[0]) ** 4, sigma=0.5, seed=11)
     grad = cor_cfd_gradient(o2, np.array([1.0]), cfg, np.random.default_rng(12))
-    assert grad.g[0] == est
-    assert grad.per_coord[0] == diag
+    assert (grad.g[0], grad.c_hat[0], grad.sigma2_hat[0], grad.mu3_hat[0],
+            grad.intercept[0], grad.mu3_iqr[0]) == row
 
 
 def test_coordinate_linear_function_curvature_insignificant():
@@ -270,10 +288,8 @@ def test_coordinate_linear_function_curvature_insignificant():
     insignificant = 0
     for rep in range(100):
         o = _oracle(lambda x: 3.0 * float(x[0]), sigma=1.0, seed=(50, rep))
-        _, diag = cor_cfd_coordinate(o, np.zeros(1), 0, cfg,
-                                     np.random.default_rng((51, rep)))
-        if not diag.curvature_significant:
-            insignificant += 1
+        grad = cor_cfd_gradient(o, np.zeros(1), cfg, np.random.default_rng((51, rep)))
+        insignificant += int(not grad.curvature_significant[0])
     assert insignificant >= 90
 
 
@@ -296,6 +312,5 @@ def test_gradient_budget_across_random_configs():
         assert o.eval_counter == 2 * d * n
         assert grad.pairs_used == d * n
         assert np.all(np.isfinite(grad.g))
-        for diag in grad.per_coord:
-            assert diag.c_hat > 0
-            assert diag.sigma2_hat >= 0
+        assert np.all(grad.c_hat > 0)
+        assert np.all(grad.sigma2_hat >= 0)
