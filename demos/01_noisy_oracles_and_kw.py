@@ -29,7 +29,7 @@ print(f"noiseless truth (not charged): {oracle.true_mean(x)}\n")
 print("== KW on the quartic, x0=30, a=c=1 ==")
 for sigma in (0.1, 1.0, 10.0):
     oracle = quartic.make_oracle(noise_sigma=sigma, seed=42)
-    traj = kw_run(oracle, domain, 30.0, GainSchedule.kw(1.0, 1.0),
+    traj = kw_run(oracle, domain, 30.0, GainSchedule(1.0, 1.0),
                   budget_pairs=10_000)
     xs = traj.iterates[:, 0]
     flips = oscillatory_period(xs, -50.0, 50.0)

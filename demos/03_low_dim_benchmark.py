@@ -23,8 +23,8 @@ for function, noise_levels in (("quartic", (0.1, 1.0)), ("cos100", (1.0, 10.0)))
     print("-" * len(header))
     for method in ("corcfd", "kw"):
         for res in run_replications(config, method):
-            r = res.summary.rmse_solution_gap
-            osc = res.summary.oscillation_percentiles
+            r = res.rmse_solution_gap
+            osc = res.oscillation_percentiles
             print(f"{res.sigma:>6g} {method:>8} | {r[100]:>9.2f} {r[1000]:>9.2f} "
                   f"{r[10000]:>9.2f} | {osc}")
     print()

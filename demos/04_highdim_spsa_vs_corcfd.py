@@ -28,7 +28,7 @@ corcfd = cor_cfd_gd_run(oracle, domain, x0,
                         ArmijoParams(), budget_pairs=budget,
                         rng=np.random.default_rng((7, 2)))
 oracle = fn.make_oracle(sigma, seed=(7, 3))
-spsa = spsa_run(oracle, domain, x0, GainSchedule.spsa(1e-9, 2.0, A=0.1 * budget),
+spsa = spsa_run(oracle, domain, x0, GainSchedule(1e-9, 2.0, A=0.1 * budget),
                 budget, np.random.default_rng((7, 4)))
 
 print(f"{'pairs':>8} | {'SPSA opt gap':>14} | {'Cor-CFD-GD opt gap':>18}")

@@ -10,11 +10,10 @@ from .estimators import (CfdConfig, CorCfdConfig, DegenerateInputError,
                          cor_cfd_coordinate, cor_cfd_gradient, optimal_c,
                          sample_pilot_perturbations)
 from .harness import (ALGORITHMS, ExperimentConfig, GridSpec, ReplicationResult,
-                      SpsaParams, grid_search_spsa, load_config,
-                      replication_seed, run_replications, run_trajectory)
-from .metrics import (ReplicationSummary, optimality_gap,
-                      oscillation_settle_index, oscillatory_period,
-                      percentiles, rmse, solution_gap)
+                      grid_search_spsa, load_config, replication_seed,
+                      run_replications, run_trajectory)
+from .metrics import (optimality_gap, oscillation_settle_index,
+                      oscillatory_period, percentiles, rmse, solution_gap)
 from .optimizers import (ArmijoParams, ConfigurationError, GainSchedule,
                          Trajectory, armijo_search, batch_schedule,
                          cor_cfd_gd_run, kw_run, spsa_run)
@@ -27,8 +26,7 @@ __all__ = [
     "ALGORITHMS", "ArmijoParams", "BoxDomain", "CfdConfig",
     "ConfigurationError", "CorCfdConfig", "DegenerateInputError",
     "ExperimentConfig", "GainSchedule", "GradientEstimate", "GridSpec",
-    "NoisyOracle", "ReplicationResult",
-    "ReplicationSummary", "SpsaParams", "TestFunction", "Trajectory",
+    "NoisyOracle", "ReplicationResult", "TestFunction", "Trajectory",
     "armijo_search", "batch_schedule", "cfd_batch", "cfd_pair",
     "cor_cfd_coordinate", "cor_cfd_gd_run", "cor_cfd_gradient", "fn213_mean",
     "get_test_function", "grid_search_spsa", "kw_run", "load_config",

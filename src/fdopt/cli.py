@@ -32,6 +32,7 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -81,14 +82,12 @@ def cmd_bench(args) -> int:
     for algorithm in config.algorithms:
         results = run_replications(config, algorithm)
         for res in results:
-            for budget in config.effective_checkpoints:
-                rows.append([res.sigma, algorithm, "rmse_solution_gap", budget,
-                             res.summary.rmse_solution_gap[budget]])
-            for budget in config.effective_checkpoints:
-                rows.append([res.sigma, algorithm, "rmse_optimality_gap", budget,
-                             res.summary.rmse_optimality_gap[budget]])
-            if res.summary.oscillation_percentiles is not None:
-                p5, med, p95 = res.summary.oscillation_percentiles
+            for metric in ("rmse_solution_gap", "rmse_optimality_gap"):
+                by_budget = getattr(res, metric)
+                rows += [[res.sigma, algorithm, metric, b, by_budget[b]]
+                         for b in config.effective_checkpoints]
+            if res.oscillation_percentiles is not None:
+                p5, med, p95 = res.oscillation_percentiles
                 rows.append([res.sigma, algorithm, "osc_p5", "", p5])
                 rows.append([res.sigma, algorithm, "osc_median", "", med])
                 rows.append([res.sigma, algorithm, "osc_p95", "", p95])
@@ -165,7 +164,8 @@ def main(argv=None) -> int:
         config_path = Path(args.config)
         if not config_path.is_file():
             raise ConfigurationError(f"config file not found: {config_path}")
-        Path(args.out).mkdir(parents=True, exist_ok=True)
+        if Path(args.out).is_file():  # the directory itself is made at the first write
+            raise ConfigurationError(f"--out {args.out} is a file, not a directory")
         return args.handler(args)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -42,22 +42,6 @@ class GridSpec:
 
 
 @dataclass(frozen=True)
-class SpsaParams:
-    """SPSA gains; ``A = None`` resolves to 10% of the largest pair budget."""
-
-    a: float = 1e-9
-    c: float = 2.0
-    A: float | None = None
-
-    def __post_init__(self):
-        self.schedule(1)  # rejects bad gains at load time, not inside a replication
-
-    def schedule(self, budget_pairs: int) -> GainSchedule:
-        A = 0.1 * budget_pairs if self.A is None else self.A
-        return GainSchedule.spsa(a=self.a, c=self.c, A=A)
-
-
-@dataclass(frozen=True)
 class EstimateParams:
     """Inputs of a single standalone gradient-estimation call."""
 
@@ -79,7 +63,8 @@ class ExperimentConfig:
 
     ``checkpoints`` are listed pair budgets; for ``fn213`` the effective
     budgets are the listed values times the dimension. Cor-CFD-GD starts at
-    batch ``corcfd.batch_pairs`` with ``corcfd.pilot_count`` pilots.
+    batch ``corcfd.batch_pairs`` with ``corcfd.pilot_count`` pilots. SPSA's
+    stability constant defaults to 10% of the largest budget.
     """
 
     function: str
@@ -90,8 +75,8 @@ class ExperimentConfig:
     checkpoints: tuple[int, ...]
     replications: int
     master_seed: int
-    kw: GainSchedule = field(default_factory=GainSchedule.kw)
-    spsa: SpsaParams = field(default_factory=SpsaParams)
+    kw: GainSchedule = GainSchedule(1.0, 1.0)
+    spsa: GainSchedule = GainSchedule(1e-9, 2.0, None)
     corcfd: CorCfdConfig = field(default_factory=CorCfdConfig)
     armijo: ArmijoParams = field(default_factory=ArmijoParams)
     grid: GridSpec | None = None
@@ -134,6 +119,9 @@ class ExperimentConfig:
             raise ConfigurationError("x0 does not match the function dimension")
         if not np.isfinite(self.x0).all():
             raise ConfigurationError("x0 must have finite coordinates")
+        if fn.dimension != 1 and "kw" in (self.algorithm, *self.algorithms):
+            raise ConfigurationError(
+                f"kw needs a one-dimensional function, not dimension {fn.dimension}")
 
     @property
     def budget_multiplier(self) -> int:
@@ -152,13 +140,21 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class ReplicationResult:
-    """Raw gap series and the aggregated summary for one noise level."""
+    """Gap series and their statistics for one noise level.
+
+    The gap arrays have shape ``(replications, checkpoints)``; each RMSE dict
+    maps an effective checkpoint to the RMSE of its column. ``oscillation``
+    holds every replication's settle index and ``oscillation_percentiles``
+    their nearest-rank 5%, 50% and 95% points; both are None beyond 1-d.
+    """
 
     sigma: float
-    summary: metrics.ReplicationSummary
-    solution_gaps: np.ndarray    # shape (replications, checkpoints)
-    optimality_gaps: np.ndarray  # shape (replications, checkpoints)
+    solution_gaps: np.ndarray
+    optimality_gaps: np.ndarray
+    rmse_solution_gap: dict[int, float]
+    rmse_optimality_gap: dict[int, float]
     oscillation: np.ndarray | None
+    oscillation_percentiles: tuple | None
 
 
 @dataclass(frozen=True)
@@ -194,8 +190,7 @@ def run_trajectory(config: ExperimentConfig, algorithm: str, sigma_index: int,
     if algorithm == "kw":
         traj = kw_run(oracle, config.domain, float(config.x0[0]), config.kw, budget)
     elif algorithm == "spsa":
-        traj = spsa_run(oracle, config.domain, config.x0,
-                        config.spsa.schedule(budget), budget, rng)
+        traj = spsa_run(oracle, config.domain, config.x0, config.spsa, budget, rng)
     elif algorithm == "corcfd":
         traj = cor_cfd_gd_run(oracle, config.domain, config.x0, config.corcfd,
                               config.armijo, budget, rng)
@@ -238,10 +233,11 @@ def run_replications(config: ExperimentConfig, algorithm: str) -> list[Replicati
     """Run all (noise level, replication) cells for one algorithm and aggregate.
 
     Aggregation is a symmetric reduce over replication indices, so permuting
-    workers or replication order cannot change the summaries.
+    workers or replication order cannot change the statistics.
     """
     if algorithm not in ALGORITHMS:
         raise ConfigurationError(f"unknown algorithm {algorithm!r}")
+    checkpoints = config.effective_checkpoints
     results = []
     for sigma_index, sigma in enumerate(config.noise_levels):
         tasks = [(config, algorithm, sigma_index, rep)
@@ -250,20 +246,15 @@ def run_replications(config: ExperimentConfig, algorithm: str) -> list[Replicati
         sol = np.stack([o[0] for o in outcomes])
         opt = np.stack([o[1] for o in outcomes])
         settles = [o[2] for o in outcomes]
-        osc = None
-        osc_pcts = None
+        osc = osc_pcts = None
         if settles[0] is not None:
             osc = np.array(settles, dtype=int)
             osc_pcts = metrics.percentiles(osc.tolist())
-        summary = metrics.ReplicationSummary(
-            rmse_solution_gap={b: metrics.rmse(sol[:, i])
-                               for i, b in enumerate(config.effective_checkpoints)},
-            rmse_optimality_gap={b: metrics.rmse(opt[:, i])
-                                 for i, b in enumerate(config.effective_checkpoints)},
-            oscillation_percentiles=osc_pcts,
-            replication_count=config.replications,
-        )
-        results.append(ReplicationResult(sigma, summary, sol, opt, osc))
+        results.append(ReplicationResult(
+            sigma, sol, opt,
+            {b: metrics.rmse(sol[:, i]) for i, b in enumerate(checkpoints)},
+            {b: metrics.rmse(opt[:, i]) for i, b in enumerate(checkpoints)},
+            osc, osc_pcts))
     return results
 
 
@@ -282,7 +273,7 @@ def grid_search_spsa(config: ExperimentConfig, grid: GridSpec) -> GridSearchResu
                                     "spsa")
             cell_metrics = []
             for res in cell:
-                value = res.summary.rmse_optimality_gap[config.largest_budget]
+                value = res.rmse_optimality_gap[config.largest_budget]
                 rows.append((a, c, res.sigma, value))
                 cell_metrics.append(value)
             score = float(np.mean(cell_metrics))
@@ -409,8 +400,8 @@ def _config_from_parser(parser: configparser.ConfigParser) -> ExperimentConfig:
                          _tile(exp.get("upper", (50.0,)), dimension, "upper")),
         checkpoints=exp.get("checkpoints", (100, 1000, 10000)),
         replications=exp.get("replications", 1), master_seed=exp.get("master_seed", 0),
-        kw=GainSchedule.kw(**sections.get("kw", {})),
-        spsa=SpsaParams(**sections.get("spsa", {})),
+        kw=replace(ExperimentConfig.kw, **sections.get("kw", {})),
+        spsa=replace(ExperimentConfig.spsa, **sections.get("spsa", {})),
         corcfd=CorCfdConfig(**corcfd), armijo=ArmijoParams(**armijo), grid=grid,
         algorithm=exp.get("algorithm"), algorithms=exp.get("algorithms", ()),
         run_sigma=exp.get("sigma"), estimate=estimate, workers=exp.get("workers", 1))

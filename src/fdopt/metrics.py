@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -95,20 +94,3 @@ def percentiles(values, probs=(0.05, 0.5, 0.95)) -> tuple:
         out.append(data[rank - 1])
     return tuple(out)
 
-
-@dataclass(frozen=True)
-class ReplicationSummary:
-    """Aggregated statistics of one (function, noise level, algorithm) cell."""
-
-    rmse_solution_gap: dict[int, float]
-    rmse_optimality_gap: dict[int, float]
-    oscillation_percentiles: tuple | None
-    replication_count: int
-
-    def __post_init__(self):
-        if self.replication_count < 1:
-            raise ValueError("replication_count must be >= 1")
-        if self.oscillation_percentiles is not None:
-            p5, med, p95 = self.oscillation_percentiles
-            if not p5 <= med <= p95:
-                raise ValueError("oscillation percentiles must be monotone")

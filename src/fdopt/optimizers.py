@@ -23,29 +23,25 @@ class ConfigurationError(ValueError):
 
 @dataclass(frozen=True)
 class GainSchedule:
-    """Deterministic step-size and perturbation sequences ``a_k``, ``c_k``."""
+    """Gain constants ``a``, ``c`` and stability constant ``A`` of KW and SPSA.
+
+    The exponents are fixed by each method (see :func:`kw_run` and
+    :func:`spsa_run`). ``A = None`` stands for 10% of the run's pair budget.
+    """
 
     a: float
     c: float
-    A: float = 0.0
-    a_exponent: float = 1.0
-    c_exponent: float = 0.25
+    A: float | None = 0.0
 
     def __post_init__(self):
         if not (0 < self.a < np.inf and 0 < self.c < np.inf):  # also false for NaN
             raise ValueError(f"gains a={self.a!r} and c={self.c!r} must be finite and > 0")
-        if not 0 <= self.A < np.inf:
+        if self.A is not None and not 0 <= self.A < np.inf:
             raise ValueError(f"stability constant A={self.A!r} must be finite and >= 0")
 
-    @classmethod
-    def kw(cls, a: float = 1.0, c: float = 1.0) -> "GainSchedule":
-        """Classic KW gains ``a_k = a/k``, ``c_k = c/k^(1/4)``."""
-        return cls(a=a, c=c, A=0.0, a_exponent=1.0, c_exponent=0.25)
-
-    @classmethod
-    def spsa(cls, a: float, c: float, A: float = 0.0) -> "GainSchedule":
-        """Standard SPSA gains ``a_k = a/(A+k+1)^0.602``, ``c_k = c/(k+1)^0.101``."""
-        return cls(a=a, c=c, A=A, a_exponent=0.602, c_exponent=0.101)
+    def stability(self, budget_pairs: int) -> float:
+        """``A`` of a run of ``budget_pairs`` pairs."""
+        return 0.1 * budget_pairs if self.A is None else self.A
 
 
 @dataclass
@@ -93,22 +89,20 @@ class ArmijoParams:
             raise ValueError("max_backtracks must be >= 1")
 
 
-def armijo_search(oracle: NoisyOracle, x, g, params: ArmijoParams) -> tuple[float, int, bool]:
+def armijo_search(oracle: NoisyOracle, x, g: GradientEstimate,
+                  params: ArmijoParams) -> tuple[float, int, bool]:
     """Backtracking line search under the noise-relaxed Armijo condition.
 
     Accepts the first step ``a`` (from ``a0`` downward by factors of ``l2``)
-    with ``Y(x - a g) <= Y(x) - l1 a g.g + 2 sigma2``, where ``sigma2`` is the
-    mean of ``g.sigma2_hat`` for a :class:`GradientEstimate` and 0 for a
-    plain vector. One fresh baseline evaluation of ``Y(x)`` is drawn per
+    with ``Y(x - a g) <= Y(x) - l1 a g.g + 2 sigma2``, where ``g`` is the
+    estimate's gradient ``g.g`` and ``sigma2`` the mean of its
+    ``sigma2_hat``. One fresh baseline evaluation of ``Y(x)`` is drawn per
     search and reused across backtracks.
     Returns ``(a, evaluations_used, accepted)``; when the backtrack budget runs
     out, the smallest trial step is returned with ``accepted=False``.
     """
     p = as_point(x, oracle.dimension)
-    if isinstance(g, GradientEstimate):
-        g_vec, relax = g.g, 2.0 * float(np.mean(g.sigma2_hat))
-    else:
-        g_vec, relax = np.asarray(g, dtype=float), 0.0
+    g_vec, relax = g.g, 2.0 * float(np.mean(g.sigma2_hat))
     gg = float(g_vec @ g_vec)
     baseline = oracle.evaluate(p)
     n_ls = 1
@@ -140,9 +134,9 @@ def kw_run(oracle: NoisyOracle, domain: BoxDomain, x0: float,
            schedule: GainSchedule, budget_pairs: int) -> Trajectory:
     """Kiefer-Wolfowitz: one CFD pair per iteration with diminishing gains.
 
-    ``x_{k+1} = project(x_k - a_k g_k)`` with ``a_k = a/(A+k)^p``,
-    ``c_k = c/k^q`` (defaults ``p=1``, ``q=1/4``), iterating from ``k=1`` until
-    ``2 * budget_pairs`` evaluations are consumed.
+    ``x_{k+1} = project(x_k - a_k g_k)`` with ``a_k = a/(A+k)`` and
+    ``c_k = c/k^(1/4)``, iterating from ``k=1`` until ``2 * budget_pairs``
+    evaluations are consumed.
     """
     if oracle.dimension != 1:
         raise ValueError("kw_run requires a one-dimensional oracle")
@@ -151,13 +145,14 @@ def kw_run(oracle: NoisyOracle, domain: BoxDomain, x0: float,
     lower = float(domain.lower[0])
     upper = float(domain.upper[0])
     x = min(max(float(x0), lower), upper)
+    a, c, A = schedule.a, schedule.c, schedule.stability(budget_pairs)
     start = oracle.eval_counter
     xs = np.empty(budget_pairs + 1)
     evaluations = np.zeros(budget_pairs + 1, dtype=int)
     xs[0] = x
     for k in range(1, budget_pairs + 1):  # every step charges exactly one pair
-        a_k = schedule.a / (schedule.A + k) ** schedule.a_exponent
-        c_k = schedule.c / k ** schedule.c_exponent
+        a_k = a / (A + k) ** 1.0
+        c_k = c / k ** 0.25
         y_plus = oracle.evaluate((x + c_k,))
         y_minus = oracle.evaluate((x - c_k,))
         g = (y_plus - y_minus) / (2.0 * c_k)
@@ -186,8 +181,7 @@ def spsa_run(oracle: NoisyOracle, domain: BoxDomain, x0, schedule: GainSchedule,
     d = oracle.dimension
     x = domain.project(as_point(x0, d))
     lower, upper = domain.lower, domain.upper
-    a, A, alpha = schedule.a, schedule.A, schedule.a_exponent
-    c, gamma = schedule.c, schedule.c_exponent
+    a, c, A = schedule.a, schedule.c, schedule.stability(budget_pairs)
     evaluate = oracle.evaluate
     start = oracle.eval_counter
     xs = np.empty((budget_pairs + 1, d))
@@ -199,8 +193,8 @@ def spsa_run(oracle: NoisyOracle, domain: BoxDomain, x0, schedule: GainSchedule,
         block = rng.integers(0, 2, size=(min(budget_pairs - k, rows), d)) * 2.0 - 1.0
         for delta in block:
             k += 1
-            a_k = a / (A + k + 1) ** alpha
-            c_k = c / (k + 1) ** gamma
+            a_k = a / (A + k + 1) ** 0.602
+            c_k = c / (k + 1) ** 0.101
             cd = c_k * delta
             g = (evaluate(x + cd) - evaluate(x - cd)) / (2.0 * c_k) * delta
             step = x - a_k * g

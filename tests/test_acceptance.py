@@ -59,8 +59,8 @@ def test_criterion_2_corcfd_quartic_rmse():
     t0 = time.time()
     config = _config_1d("quartic", (0.1,), 50)
     (res,) = run_replications(config, "corcfd")
-    rmse_100 = res.summary.rmse_solution_gap[100]
-    rmse_10k = res.summary.rmse_solution_gap[10000]
+    rmse_100 = res.rmse_solution_gap[100]
+    rmse_10k = res.rmse_solution_gap[10000]
     osc_all_zero = bool(np.all(res.oscillation == 0))
     ok = rmse_10k <= 0.05 and rmse_100 <= 0.2 and osc_all_zero
     _report("2 Cor-CFD-GD quartic RMSE", ok,
@@ -77,8 +77,8 @@ def test_criterion_3_cos100_orderings():
     details = []
     for kw_res, cor_res in zip(kw, cor):
         for budget in (1000, 10000):
-            c = cor_res.summary.rmse_solution_gap[budget]
-            k = kw_res.summary.rmse_solution_gap[budget]
+            c = cor_res.rmse_solution_gap[budget]
+            k = kw_res.rmse_solution_gap[budget]
             ok &= c < k
             details.append(f"s={kw_res.sigma:g}@{budget}:{c:.2f}<{k:.2f}")
     _report("3 cos100 Cor-CFD-GD beats KW", ok, " ".join(details), t0, limit_s=300)
@@ -98,8 +98,8 @@ def test_criterion_4_fn213_rmse_ratio():
     budget = config.largest_budget  # 1000 * 64 pairs
     (spsa_res,) = run_replications(config, "spsa")   # a=1e-9, c=2 defaults
     (cor_res,) = run_replications(config, "corcfd")
-    spsa_rmse = spsa_res.summary.rmse_optimality_gap[budget]
-    cor_rmse = cor_res.summary.rmse_optimality_gap[budget]
+    spsa_rmse = spsa_res.rmse_optimality_gap[budget]
+    cor_rmse = cor_res.rmse_optimality_gap[budget]
     ok = cor_rmse < 0.25 * spsa_rmse
     _report("4 fn213 optimality-gap RMSE ratio", ok,
             f"corcfd={cor_rmse:.2f} spsa={spsa_rmse:.2f} "
@@ -117,7 +117,7 @@ def test_criterion_5_fn213_crossover():
     traj_c = cor_cfd_gd_run(oracle_c, dom, x0, CorCfdConfig(), ArmijoParams(),
                             budget, np.random.default_rng((ACCEPTANCE_SEED, 2)))
     oracle_s = fn.make_oracle(1.0, seed=(ACCEPTANCE_SEED, 3))
-    traj_s = spsa_run(oracle_s, dom, x0, GainSchedule.spsa(1e-9, 2.0, A=0.1 * budget),
+    traj_s = spsa_run(oracle_s, dom, x0, GainSchedule(1e-9, 2.0, A=0.1 * budget),
                       budget, np.random.default_rng((ACCEPTANCE_SEED, 4)))
 
     def gap(traj, pairs):
@@ -229,11 +229,11 @@ def test_criterion_9_budget_exactness():
     # optimizer ledgers stay in lockstep with the oracle counter
     fn = get_test_function("quartic")
     o = fn.make_oracle(1.0, seed=(ACCEPTANCE_SEED, 10))
-    traj = kw_run(o, DOMAIN_1D, 30.0, GainSchedule.kw(), 500)
+    traj = kw_run(o, DOMAIN_1D, 30.0, GainSchedule(1.0, 1.0), 500)
     ok &= traj.evaluations[-1] == o.eval_counter == 1000
 
     o = fn.make_oracle(1.0, seed=(ACCEPTANCE_SEED, 11))
-    traj = spsa_run(o, DOMAIN_1D, np.array([30.0]), GainSchedule.spsa(1e-3, 1.0, A=50),
+    traj = spsa_run(o, DOMAIN_1D, np.array([30.0]), GainSchedule(1e-3, 1.0, A=50),
                     500, np.random.default_rng(0))
     ok &= traj.evaluations[-1] == o.eval_counter == 1000
 

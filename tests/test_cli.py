@@ -100,6 +100,13 @@ def test_missing_config_exits_2(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+def test_out_naming_a_file_exits_2(config_path, tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("")
+    assert main(["bench", "--config", str(config_path), "--out", str(out)]) == 2
+    assert "is a file, not a directory" in capsys.readouterr().err
+
+
 def test_unreadable_config_exits_2(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("[experiment]\nfunction = quartic\nreplications = soon\n")
@@ -161,7 +168,7 @@ def test_bench_bad_noise_levels_exit_2(tmp_path, capsys, levels):
     out = tmp_path / "b"
     assert main(["bench", "--config", str(path), "--out", str(out)]) == 2
     assert "noise level" in capsys.readouterr().err
-    assert not (out / "table.csv").exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("section", ["[kw]\na = nan", "[spsa]\nA = -5"])
@@ -171,10 +178,11 @@ def test_bench_bad_gains_exit_2(tmp_path, capsys, section):
     out = tmp_path / "b"
     assert main(["bench", "--config", str(path), "--out", str(out)]) == 2
     assert "must be finite" in capsys.readouterr().err
-    assert not (out / "table.csv").exists()
+    assert not out.exists()
 
 
-# Each bad value is rejected while the config loads, before any output exists.
+# Each bad value is rejected while the config loads, before the output
+# directory is created.
 # A `line` that starts with "--" is a flag: the file stays valid and the flag
 # passes the bad value of the key it overrides.
 @pytest.mark.parametrize("command, line, bad, output", [
@@ -196,7 +204,7 @@ def test_bad_config_values_exit_2(tmp_path, capsys, command, line, bad, output):
     assert main([command, "--config", str(path), "--out", str(out), *flags]) == 2
     err = capsys.readouterr().err
     assert "configuration error" in err and bad.split()[0] in err
-    assert not (out / output).exists()
+    assert not out.exists()  # not even the directory that would hold `output`
 
 
 def test_bench_deterministic_across_runs_and_workers(config_path, tmp_path):
@@ -290,6 +298,16 @@ FN213_CFG = textwrap.dedent("""
     a = 2e-8
     c = 0.5
 """)
+
+
+def test_bench_kw_beyond_one_dimension_exits_2(tmp_path, capsys):
+    # rejected while the config loads, not after the SPSA cells have run
+    path = tmp_path / "kw8.cfg"
+    path.write_text(FN213_CFG.replace("algorithm = spsa", "algorithms = spsa kw"))
+    out = tmp_path / "b"
+    assert main(["bench", "--config", str(path), "--out", str(out)]) == 2
+    assert "kw needs a one-dimensional function, not dimension 8" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # Cor-CFD-GD in 8 dimensions: the run takes every branch of the pilot-center

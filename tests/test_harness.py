@@ -6,10 +6,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fdopt.harness import (ExperimentConfig, GridSpec, SpsaParams,
-                           apply_profile, grid_search_spsa, load_config,
-                           replication_seed, run_replications)
-from fdopt.optimizers import ConfigurationError
+from fdopt.harness import (ExperimentConfig, GridSpec, apply_profile,
+                           grid_search_spsa, load_config, replication_seed,
+                           run_replications)
+from fdopt.optimizers import ConfigurationError, GainSchedule
 from fdopt.oracle import BoxDomain
 
 
@@ -29,7 +29,7 @@ def test_degenerate_single_noiseless_replication():
     # RMSE of a single replication equals that run's gap exactly
     assert res.solution_gaps.shape == (1, 2)
     for i, budget in enumerate(config.effective_checkpoints):
-        assert res.summary.rmse_solution_gap[budget] == res.solution_gaps[0, i]
+        assert res.rmse_solution_gap[budget] == res.solution_gaps[0, i]
 
 
 def test_run_replications_reproducible():
@@ -45,7 +45,9 @@ def test_worker_count_does_not_change_results():
     serial = run_replications(config, "kw")
     parallel = run_replications(replace(config, workers=2), "kw")
     assert np.array_equal(serial[0].solution_gaps, parallel[0].solution_gaps)
-    assert serial[0].summary == parallel[0].summary
+    assert serial[0].rmse_solution_gap == parallel[0].rmse_solution_gap
+    assert serial[0].rmse_optimality_gap == parallel[0].rmse_optimality_gap
+    assert serial[0].oscillation_percentiles == parallel[0].oscillation_percentiles
 
 
 def test_replication_seed_disjoint_streams():
@@ -96,6 +98,13 @@ def test_config_validation_errors():
         _small_config(x0=np.array([1.0, 2.0]))
     with pytest.raises(ConfigurationError, match="not one of noise_levels"):
         _small_config(run_sigma=2.0)
+    fn213 = dict(function="fn213", dimension=4, x0=np.tile([3.0, 1.0], 2),
+                 domain=BoxDomain.interval(-50, 50, 4))
+    for listed in (dict(algorithm="kw"), dict(algorithms=("spsa", "kw"))):
+        with pytest.raises(ConfigurationError, match="kw needs a one-dimensional "
+                           "function, not dimension 4"):
+            _small_config(**fn213, **listed)
+    _small_config(**fn213, algorithm="spsa", algorithms=("spsa", "corcfd"))
 
 
 @pytest.mark.parametrize("sigma", [-1.0, float("nan"), float("inf")])
@@ -133,8 +142,9 @@ def test_grid_search_overlarge_step_loses():
 
 
 def test_spsa_params_auto_A():
-    assert SpsaParams(a=1e-9, c=2.0).schedule(64000).A == pytest.approx(6400.0)
-    assert SpsaParams(a=1e-9, c=2.0, A=10.0).schedule(64000).A == 10.0
+    assert GainSchedule(a=1e-9, c=2.0, A=None).stability(64000) == pytest.approx(6400.0)
+    assert GainSchedule(a=1e-9, c=2.0, A=10.0).stability(64000) == 10.0
+    assert _small_config().spsa.stability(64000) == pytest.approx(6400.0)
 
 
 def test_apply_profile():
@@ -234,9 +244,10 @@ def test_load_config_rejects_bad_gains(tmp_path, section, key, value):
 
 
 def test_spsa_params_reject_bad_gains():
-    for bad in (dict(a=np.nan), dict(c=np.inf), dict(A=-5.0)):
+    for bad in (dict(a=np.nan, c=2.0), dict(a=1e-9, c=np.inf),
+                dict(a=1e-9, c=2.0, A=-5.0)):
         with pytest.raises(ValueError, match="must be finite"):
-            SpsaParams(**bad)
+            GainSchedule(**bad)
 
 
 def test_load_config_rejects_unknown_sections_and_keys(tmp_path):

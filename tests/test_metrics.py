@@ -5,9 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from fdopt.metrics import (ReplicationSummary, optimality_gap,
-                           oscillation_settle_index, oscillatory_period,
-                           percentiles, rmse, solution_gap)
+from fdopt.metrics import (optimality_gap, oscillation_settle_index,
+                           oscillatory_period, percentiles, rmse, solution_gap)
 
 
 def test_rmse_cases():
@@ -99,11 +98,3 @@ def test_percentiles_rejects_empty():
     with pytest.raises(ValueError):
         percentiles([])
 
-
-def test_replication_summary_validation():
-    with pytest.raises(ValueError):
-        ReplicationSummary({}, {}, (5, 4, 3), 10)
-    with pytest.raises(ValueError):
-        ReplicationSummary({}, {}, None, 0)
-    s = ReplicationSummary({100: 0.1}, {100: 0.2}, (1, 2, 3), 10)
-    assert s.oscillation_percentiles == (1, 2, 3)

@@ -70,7 +70,7 @@ def test_armijo_hand_case_quadratic():
 def test_armijo_zero_gradient_accepts_immediately():
     o = _oracle(lambda x: float(x[0]) ** 2)
     params = ArmijoParams(l1=0.5, l2=0.5, a0=1.0)
-    a, n_ls, accepted = armijo_search(o, np.array([3.0]), np.array([0.0]), params)
+    a, n_ls, accepted = armijo_search(o, np.array([3.0]), _estimate([0.0], 0.0), params)
     assert accepted
     assert a == 1.0
     assert n_ls == 2
@@ -94,7 +94,7 @@ def test_armijo_exhaustion_returns_smallest_step_with_flag():
     # gradient points uphill on a linear slope: no step can satisfy the test
     o = _oracle(lambda x: float(x[0]))
     params = ArmijoParams(l1=0.5, l2=0.5, a0=1.0, max_backtracks=8)
-    a, n_ls, accepted = armijo_search(o, np.zeros(1), np.array([-1.0]), params)
+    a, n_ls, accepted = armijo_search(o, np.zeros(1), _estimate([-1.0], 0.0), params)
     assert not accepted
     assert a == pytest.approx(0.5 ** 7)  # smallest step actually tried
     assert n_ls == 1 + 8
@@ -103,11 +103,11 @@ def test_armijo_exhaustion_returns_smallest_step_with_flag():
 def test_armijo_noise_term_comes_from_the_estimate():
     # uphill on a noiseless linear slope from 0: Y(x - a g) = a exceeds
     # Y(x) - l1 a g.g = -0.5 a for every a > 0, so only the estimate's noise
-    # term 2 * 1 admits the first trial a = 1; a plain vector adds no noise term
+    # term 2 * 1 admits the first trial a = 1; an estimate with no noise does not
     o = _oracle(lambda x: float(x[0]))
     params = ArmijoParams(l1=0.5, l2=0.5, a0=1.0, max_backtracks=8)
     assert armijo_search(o, np.zeros(1), _estimate([-1.0], 1.0), params) == (1.0, 2, True)
-    assert not armijo_search(o, np.zeros(1), np.array([-1.0]), params)[2]
+    assert not armijo_search(o, np.zeros(1), _estimate([-1.0], 0.0), params)[2]
 
 
 def test_armijo_noiseless_guarantee():
@@ -115,10 +115,10 @@ def test_armijo_noiseless_guarantee():
     o = _oracle(lambda x: float(x[0]) ** 4)
     params = ArmijoParams(l1=1e-4, l2=0.5, a0=1.0)
     x = np.array([2.0])
-    g = np.array([32.0])
+    g = _estimate([32.0], 0.0)
     a, _, accepted = armijo_search(o, x, g, params)
     assert accepted
-    assert (x - a * g)[0] ** 4 <= x[0] ** 4 - params.l1 * a * float(g @ g)
+    assert (x - a * g.g)[0] ** 4 <= x[0] ** 4 - params.l1 * a * float(g.g @ g.g)
 
 
 # ---------------------------------------------------------------------------
@@ -128,12 +128,12 @@ def test_armijo_noiseless_guarantee():
 def test_kw_requires_one_dimensional_oracle():
     o = _oracle(lambda x: float(np.sum(np.square(x))), d=2)
     with pytest.raises(ValueError):
-        kw_run(o, BoxDomain.interval(-1, 1, 2), 0.5, GainSchedule.kw(), 10)
+        kw_run(o, BoxDomain.interval(-1, 1, 2), 0.5, GainSchedule(1.0, 1.0), 10)
 
 
 def test_kw_budget_accounting():
     o = _oracle(lambda x: float(x[0]) ** 2)
-    traj = kw_run(o, DOMAIN, 5.0, GainSchedule.kw(0.1, 1.0), 100)
+    traj = kw_run(o, DOMAIN, 5.0, GainSchedule(0.1, 1.0), 100)
     assert o.eval_counter == 200
     assert traj.evaluations[-1] == 200
     assert traj.iterates.shape == (101, 1)  # starting point plus one per pair
@@ -141,7 +141,7 @@ def test_kw_budget_accounting():
 
 def test_kw_noiseless_quadratic_contracts():
     o = _oracle(lambda x: float(x[0]) ** 2)
-    traj = kw_run(o, DOMAIN, 5.0, GainSchedule.kw(0.1, 1.0), 100)
+    traj = kw_run(o, DOMAIN, 5.0, GainSchedule(0.1, 1.0), 100)
     xs = np.abs(traj.iterates[:, 0])
     assert np.all(np.diff(xs) < 1e-12)
 
@@ -151,7 +151,7 @@ def test_kw_quartic_boundary_oscillation():
     # flips persist exactly while a_k * |g| >= 100, i.e. through k=5000
     fn = get_test_function("quartic")
     o = fn.make_oracle(0.0, seed=0)
-    traj = kw_run(o, DOMAIN, 30.0, GainSchedule.kw(1.0, 1.0), 10_000)
+    traj = kw_run(o, DOMAIN, 30.0, GainSchedule(1.0, 1.0), 10_000)
     xs = traj.iterates[:, 0]
     assert oscillation_settle_index(xs, -50.0, 50.0) == 5000
     assert oscillatory_period(xs, -50.0, 50.0) == 4999
@@ -161,7 +161,7 @@ def test_kw_quartic_boundary_oscillation():
 def test_kw_first_step_hits_lower_bound():
     fn = get_test_function("quartic")
     o = fn.make_oracle(0.0, seed=0)
-    traj = kw_run(o, DOMAIN, 30.0, GainSchedule.kw(1.0, 1.0), 1)
+    traj = kw_run(o, DOMAIN, 30.0, GainSchedule(1.0, 1.0), 1)
     assert traj.iterates[1, 0] == -50.0
 
 
@@ -169,7 +169,7 @@ def test_kw_non_finite_objective_raises_at_oracle():
     # the objective is undefined near 0; the first minus probe lands at 0.5
     o = _oracle(lambda x: float("nan") if abs(x[0]) < 1 else float(x[0]) ** 2)
     with pytest.raises(ValueError, match=r"non-finite value nan at point \[0\.5\]"):
-        kw_run(o, DOMAIN, 1.5, GainSchedule.kw(0.1, 1.0), 100)
+        kw_run(o, DOMAIN, 1.5, GainSchedule(0.1, 1.0), 100)
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +179,7 @@ def test_kw_non_finite_objective_raises_at_oracle():
 def test_spsa_budget_accounting():
     o = _oracle(lambda x: float(np.sum(np.square(x))), d=3)
     dom = BoxDomain.interval(-5, 5, 3)
-    traj = spsa_run(o, dom, np.ones(3), GainSchedule.spsa(0.1, 0.5, A=10),
+    traj = spsa_run(o, dom, np.ones(3), GainSchedule(0.1, 0.5, A=10),
                     50, np.random.default_rng(0))
     assert o.eval_counter == 100
     assert traj.iterates.shape == (51, 3)
@@ -189,7 +189,7 @@ def test_spsa_budget_accounting():
 def test_spsa_iterates_stay_feasible():
     o = _oracle(lambda x: float(np.sum(np.square(x))), d=2, sigma=5.0, seed=4)
     dom = BoxDomain.interval(-2, 2, 2)
-    traj = spsa_run(o, dom, np.array([1.5, -1.5]), GainSchedule.spsa(1.0, 0.5, A=0),
+    traj = spsa_run(o, dom, np.array([1.5, -1.5]), GainSchedule(1.0, 0.5, A=0),
                     200, np.random.default_rng(5))
     xs = traj.iterates
     assert np.all(xs >= -2.0) and np.all(xs <= 2.0)
@@ -204,7 +204,7 @@ def test_spsa_estimator_mean_matches_gradient():
     dom = BoxDomain.interval(-10, 10, 2)
     m = 20_000
     a = 2.5e-8
-    sched = GainSchedule.spsa(a, 0.1, A=0.0)
+    sched = GainSchedule(a, 0.1, A=0.0)
     traj = spsa_run(o, dom, np.array([1.0, 1.0]), sched, m, np.random.default_rng(6))
     xs = traj.iterates
     ks = np.arange(1, m + 1)
@@ -228,8 +228,8 @@ def _spsa_reference(oracle, domain, x0, schedule, budget_pairs, rng):
     k = 0
     while oracle.eval_counter - start < 2 * budget_pairs:
         k += 1
-        a_k = schedule.a / (schedule.A + k + 1) ** schedule.a_exponent
-        c_k = schedule.c / (k + 1) ** schedule.c_exponent
+        a_k = schedule.a / (schedule.A + k + 1) ** 0.602
+        c_k = schedule.c / (k + 1) ** 0.101
         delta = rng.integers(0, 2, size=d) * 2.0 - 1.0
         y_plus = oracle.evaluate(x + c_k * delta)
         y_minus = oracle.evaluate(x - c_k * delta)
@@ -248,7 +248,7 @@ def _run_spsa(runner, d, sigma, budget, schedule=None, mean_fn=_quartic_bowl):
     # A box of [-2, 2] and a large gain drive some coordinates onto the bounds.
     o = _oracle(mean_fn, d=d, sigma=sigma, seed=d)
     dom = BoxDomain.interval(-2, 2, d)
-    schedule = schedule or GainSchedule.spsa(0.05, 0.5, A=5)
+    schedule = schedule or GainSchedule(0.05, 0.5, A=5)
     traj = runner(o, dom, np.linspace(-1.5, 1.9, d), schedule, budget,
                   np.random.default_rng((7, d)))
     return traj, o.eval_counter
@@ -273,7 +273,7 @@ def test_spsa_matches_per_step_reference_bit_for_bit(d, sigma):
 def test_spsa_non_finite_step_raises_like_reference():
     # a finite but huge gain on a steep linear objective overflows the first
     # step: a_1 * |g| = 1e308 / 2^0.602 * 1e10 = inf
-    sched = GainSchedule.spsa(1e308, 0.5)
+    sched = GainSchedule(1e308, 0.5)
     for runner in (spsa_run, _spsa_reference):
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(ValueError, match="non-finite coordinates"):
@@ -284,7 +284,7 @@ def test_spsa_non_finite_step_raises_like_reference():
 def test_spsa_stored_iterates_share_no_memory():
     x0 = np.array([0.5, -0.5, 1.0])
     o = _oracle(_quartic_bowl, d=3, sigma=1.0, seed=3)
-    traj = spsa_run(o, BoxDomain.interval(-2, 2, 3), x0, GainSchedule.spsa(0.05, 0.5),
+    traj = spsa_run(o, BoxDomain.interval(-2, 2, 3), x0, GainSchedule(0.05, 0.5),
                     40, np.random.default_rng(3))
     xs = list(traj.iterates) + [x0]
     for i, a in enumerate(xs):
@@ -296,7 +296,7 @@ def test_spsa_non_finite_objective_raises_at_oracle():
     o = _oracle(lambda x: float("nan") if abs(x[0]) < 1 else 1.0, d=2)
     with pytest.raises(ValueError, match="non-finite value nan"):
         spsa_run(o, BoxDomain.interval(-5, 5, 2), np.array([0.5, 3.0]),
-                 GainSchedule.spsa(0.1, 0.5), 50, np.random.default_rng(0))
+                 GainSchedule(0.1, 0.5), 50, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +405,7 @@ def test_budget_contract_random_configs():
         dom = BoxDomain.interval(-10, 10, d)
         x0 = np.full(d, 3.0)
         runs = {
-            "spsa": lambda o: spsa_run(o, dom, x0, GainSchedule.spsa(0.05, 0.5), budget,
+            "spsa": lambda o: spsa_run(o, dom, x0, GainSchedule(0.05, 0.5), budget,
                                        np.random.default_rng(seeds[1])),
             "corcfd": lambda o: cor_cfd_gd_run(
                 o, dom, x0, CorCfdConfig(pilot_count=R, batch_pairs=n0,
@@ -413,7 +413,7 @@ def test_budget_contract_random_configs():
                 armijo, budget, np.random.default_rng(seeds[1])),
         }
         if d == 1:
-            runs["kw"] = lambda o: kw_run(o, dom, 3.0, GainSchedule.kw(0.1, 1.0), budget)
+            runs["kw"] = lambda o: kw_run(o, dom, 3.0, GainSchedule(0.1, 1.0), budget)
         for name, run in runs.items():
             o = NoisyOracle(lambda x: float(np.sum(np.asarray(x) ** 4)), d, sigma,
                             seed=seeds[0])
@@ -448,7 +448,7 @@ def _last_iterate_by_scan(traj, pairs):
 
 def test_trajectory_checkpoint_extraction():
     o = _oracle(lambda x: float(x[0]) ** 2)
-    traj = kw_run(o, DOMAIN, 5.0, GainSchedule.kw(0.1, 1.0), 50)
+    traj = kw_run(o, DOMAIN, 5.0, GainSchedule(0.1, 1.0), 50)
     # iterate 10 is the last one produced within 20 evaluations
     assert traj.at_pair_budget(10)[0] == traj.iterates[10, 0]
     # a zero budget only covers the starting point
@@ -470,6 +470,19 @@ def test_trajectory_checkpoint_extraction():
         traj.at_pair_budget(-1)
 
 
+@pytest.mark.parametrize("budget", [1, 37, 500])
+def test_auto_stability_constant_is_a_tenth_of_the_budget(budget):
+    # A=None and an explicit A=0.1*budget give the same runs, bit for bit
+    def runs(A):
+        kw = kw_run(_oracle(lambda x: float(x[0]) ** 4, sigma=1.0, seed=1), DOMAIN,
+                    30.0, GainSchedule(0.1, 1.0, A=A), budget)
+        spsa, _ = _run_spsa(spsa_run, 3, 1.0, budget, GainSchedule(0.05, 0.5, A=A))
+        return kw, spsa
+    for auto, explicit in zip(runs(None), runs(0.1 * budget)):
+        assert np.array_equal(auto.iterates, explicit.iterates)
+        assert np.array_equal(auto.evaluations, explicit.evaluations)
+
+
 def test_gain_schedule_validation():
     with pytest.raises(ValueError):
         GainSchedule(a=0.0, c=1.0)
@@ -484,8 +497,8 @@ def test_non_finite_gains_rejected(bad):
     with pytest.raises(ValueError, match="must be finite"):
         GainSchedule(a=bad, c=1.0)
     with pytest.raises(ValueError, match="must be finite"):
-        GainSchedule.kw(c=bad)
+        GainSchedule(1.0, c=bad)
     with pytest.raises(ValueError, match="must be finite"):
-        GainSchedule.spsa(1.0, 1.0, A=bad)
+        GainSchedule(1.0, 1.0, A=bad)
     with pytest.raises(ValueError, match="must be finite"):
         ArmijoParams(a0=bad)
