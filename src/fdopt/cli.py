@@ -22,7 +22,7 @@ from .harness import (ExperimentConfig, apply_profile, grid_search_spsa,
                       run_trajectory)
 # The runners stay bound here because perfbench/layers.py patches them by name.
 from .optimizers import ConfigurationError, cor_cfd_gd_run, kw_run, spsa_run  # noqa: F401
-from .oracle import NoisyOracle, get_test_function
+from .oracle import get_test_function
 
 
 def _fmt(value) -> str:
@@ -120,7 +120,7 @@ def cmd_estimate(args) -> int:
     est = config.estimate
     oracle_seed, algo_seed = replication_seed(
         config.master_seed, "estimate", 0, 0).spawn(2)
-    oracle = NoisyOracle(fn.mean_fn, fn.dimension, est.sigma, oracle_seed)
+    oracle = fn.make_oracle(est.sigma, oracle_seed)
     rng = np.random.default_rng(algo_seed)
     try:
         cfg = replace(config.corcfd, batch_pairs=est.n)

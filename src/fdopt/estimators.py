@@ -16,7 +16,7 @@ location/scale adjustment so no sample is wasted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -106,12 +106,6 @@ class GradientEstimate:
         return (np.abs(self.mu3_hat) > 2.0 * self.mu3_iqr) & (self.mu3_hat != 0.0)
 
 
-def _shifted(x: np.ndarray, coord: int, delta: float) -> np.ndarray:
-    xs = x.copy()
-    xs[coord] += delta
-    return xs
-
-
 def cfd_pair(oracle: NoisyOracle, x, coord: int, c: float) -> float:
     """One central difference quotient from two fresh evaluations at ``x +- c e_coord``."""
     return cfd_batch(oracle, x, coord, CfdConfig(1, c))
@@ -121,8 +115,9 @@ def cfd_batch(oracle: NoisyOracle, x, coord: int, cfg: CfdConfig) -> float:
     """Mean of ``n`` independent quotients at a fixed perturbation (2n evaluations)."""
     p = as_point(x, oracle.dimension)
     n, c = cfg.batch_pairs, cfg.perturbation
-    y_plus = oracle.evaluate_batch(_shifted(p, coord, c), n)
-    y_minus = oracle.evaluate_batch(_shifted(p, coord, -c), n)
+    points = np.array([p, p])
+    points[:, coord] += (c, -c)
+    y_plus, y_minus = oracle.evaluate_batch(points, 2 * n)
     return float(np.mean((y_plus - y_minus) / (2.0 * c)))
 
 
@@ -152,35 +147,104 @@ def sample_pilot_perturbations(cfg: CorCfdConfig, n: int, rng: np.random.Generat
     return scale * u
 
 
-def _fit_slope(quotients: np.ndarray, z: np.ndarray, reps: int,
-               rng: np.random.Generator) -> tuple[float, float, float]:
-    """OLS of the pilot means of ``quotients`` on ``z = c^2``, with a bootstrap.
-
-    Returns ``(intercept, slope, slope_iqr)``, the last being the
-    interquartile range of the slope over ``reps`` within-pilot resamples.
-    With no spread in ``z`` the fit is rank-deficient: the slope and its IQR
-    are then 0 and the intercept is the plain mean. The resample indices are
-    drawn in either case, so the stream of ``rng`` does not depend on the
-    pilot spread.
-    """
-    n_pilots, per_pilot = quotients.shape
-    idx = rng.integers(0, per_pilot, size=(reps, n_pilots, per_pilot))
-    y = quotients.mean(axis=1)
-    zc = z - z.mean()
-    denom = float(zc @ zc)
-    if denom <= 0.0:
-        return float(y.mean()), 0.0, 0.0
-    slope = float(zc @ (y - y.mean())) / denom
-    intercept = float(y.mean()) - slope * float(z.mean())
-    rows = np.arange(n_pilots)[None, :, None]
-    boot_means = quotients[rows, idx].mean(axis=2)            # (reps, n_pilots)
-    slopes = (boot_means - boot_means.mean(axis=1, keepdims=True)) @ zc / denom
-    q75, q25 = np.percentile(slopes, [75.0, 25.0])
-    return intercept, slope, float(q75 - q25)
-
-
 _MU3_FLOOR = 1e-12
 _BOOTSTRAP_GUARD = 10.0
+# A block of k coordinates draws k * bootstrap_reps * batch_pairs bootstrap
+# indices; blocks hold at most this many (and at least one coordinate).
+_BLOCK_INDICES = 2 ** 17
+
+
+def _cor_cfd_block(oracle: NoisyOracle, p: np.ndarray, coords: np.ndarray,
+                   bases: np.ndarray, cfg: CorCfdConfig,
+                   rng: np.random.Generator) -> np.ndarray:
+    """Cor-CFD estimates of the partials ``coords`` at ``p``, one oracle call.
+
+    ``bases[i]`` is the pilot base scale of ``coords[i]``. Returns a
+    ``(6, k)`` array whose rows are the fields of :class:`GradientEstimate`
+    in order; charges exactly ``2 k n`` evaluations.
+
+    Pipeline, per coordinate: draw pilots, collect quotients per pilot,
+    estimate the noise variance from within-pilot spread and the third
+    derivative from the regression of pilot means on squared perturbations
+    (with a bootstrap of its spread), pick the plug-in optimal perturbation
+    (with a pilot-geometric-mean fallback and a clamp to the pilot range),
+    and average the location/scale-recycled quotients. No fresh evaluations
+    happen at the estimated perturbation.
+
+    Every draw and every floating-point operation is the one a
+    coordinate-by-coordinate loop would make: ``rng`` gives each coordinate
+    its pilots and then its bootstrap indices, the oracle draws the noise of
+    coordinate, pilot, then ``+``/``-`` side in turn, and the dot products
+    and the powers of ``c_hat`` are taken per coordinate.
+    """
+    k, d = len(coords), oracle.dimension
+    n_pilots, b, n = cfg.pilot_count, cfg.pairs_per_pilot, cfg.batch_pairs
+    reps = cfg.bootstrap_reps
+    u = np.empty((k, n_pilots))
+    # Indices are drawn as int64 (the dtype fixes the stream) but kept small.
+    idx = np.empty((k, reps, n_pilots, b), dtype=np.min_scalar_type(b - 1))
+    for i in range(k):
+        u[i] = rng.uniform(1.0 - cfg.pilot_spread, 1.0 + cfg.pilot_spread, size=n_pilots)
+        idx[i] = rng.integers(0, b, size=(reps, n_pilots, b))
+    # The pilot scale shrinks like n^(-1/10), as in sample_pilot_perturbations.
+    pilots = (bases * float(n) ** -0.1)[:, None] * u                # (k, R)
+
+    points = np.empty((k, n_pilots, 2, d))
+    points[...] = p
+    points[np.arange(k), :, 0, coords] += pilots
+    points[np.arange(k), :, 1, coords] -= pilots
+    y = oracle.evaluate_batch(points.reshape(-1, d), 2 * k * n).reshape(k, n_pilots, 2, b)
+    quotients = (y[:, :, 0] - y[:, :, 1]) / (2.0 * pilots[:, :, None])  # (k, R, b)
+
+    # Var[quotient] = sigma^2 / (2 c^2), inverted per pilot and averaged.
+    sigma2_hat = np.mean(2.0 * pilots ** 2 * quotients.var(axis=2, ddof=1), axis=1)
+
+    # OLS of the pilot means on z = c^2. With no spread in z the fit is
+    # rank-deficient: the slope and its bootstrap IQR are then 0 and the
+    # intercept is the plain mean. The bootstrap indices were drawn in
+    # either case, so the stream of rng does not depend on the pilot spread.
+    z = pilots ** 2
+    z_mean = z.mean(axis=1, keepdims=True)
+    y_bar = quotients.mean(axis=2)
+    y_mean = y_bar.mean(axis=1, keepdims=True)
+    zc = z - z_mean
+    denom = (zc[:, None, :] @ zc[:, :, None])[:, 0, 0]
+    fit = denom > 0.0
+    denom[~fit] = 1.0
+    cross = (zc[:, None, :] @ (y_bar - y_mean)[:, :, None])[:, 0, 0]
+    slope = np.where(fit, cross / denom, 0.0)
+    intercept = y_mean[:, 0] - slope * z_mean[:, 0]
+
+    # Slope over `reps` within-pilot resamples, one coordinate at a time.
+    slopes = np.zeros((k, reps))
+    rows = np.arange(n_pilots)[None, :, None]
+    for i in np.flatnonzero(fit):
+        boot_means = quotients[i][rows, idx[i]].mean(axis=2)            # (reps, R)
+        centered = boot_means - boot_means.mean(axis=1, keepdims=True)
+        slopes[i] = centered @ zc[i] / denom[i]
+    q75, q25 = np.percentile(slopes, [75.0, 25.0], axis=1)
+    slope_iqr = q75 - q25
+
+    mu3_hat = 6.0 * slope
+    unstable = slope_iqr > _BOOTSTRAP_GUARD * np.abs(slope)
+    fallback = (sigma2_hat <= 0.0) | (np.abs(mu3_hat) < _MU3_FLOOR) | unstable
+    c_hat = np.exp(np.log(pilots).mean(axis=1))
+    for i in np.flatnonzero(~fallback):
+        c_hat[i] = optimal_c(float(sigma2_hat[i]), float(mu3_hat[i]), n)
+    c_hat = np.minimum(np.maximum(c_hat, pilots.min(axis=1) / 10.0),
+                       10.0 * pilots.max(axis=1))
+
+    # Recycle every quotient: match the regression mean at c_hat and rescale
+    # the noise from sigma/(sqrt(2) c_r) to sigma/(sqrt(2) c_hat).
+    fitted = intercept[:, None] + slope[:, None] * z
+    # c_hat^2 by Python's float power (libm pow): numpy's ``** 2`` is c * c,
+    # which can differ in the last bit.
+    target_mean = intercept + slope * np.array([c ** 2 for c in c_hat.tolist()])
+    recycled = (target_mean[:, None, None] + (pilots / c_hat[:, None])[:, :, None]
+                * (quotients - fitted[:, :, None]))
+    estimate = recycled.reshape(k, -1).mean(axis=1)
+
+    return np.array([estimate, c_hat, sigma2_hat, mu3_hat, intercept, 6.0 * slope_iqr])
 
 
 def cor_cfd_coordinate(oracle: NoisyOracle, x, coord: int, cfg: CorCfdConfig,
@@ -188,69 +252,43 @@ def cor_cfd_coordinate(oracle: NoisyOracle, x, coord: int, cfg: CorCfdConfig,
     """Cor-CFD estimate of one partial derivative; consumes exactly 2n evaluations.
 
     Returns ``(estimate, c_hat, sigma2_hat, mu3_hat, intercept, mu3_iqr)``,
-    the diagnostics in the field order of :class:`GradientEstimate`.
-
-    Pipeline: draw pilots, collect quotients per pilot, estimate the noise
-    variance from within-pilot spread and the third derivative from the
-    regression of pilot means on squared perturbations, pick the plug-in
-    optimal perturbation (with a pilot-geometric-mean fallback and a clamp to
-    the pilot range), and average the location/scale-recycled quotients. No
-    fresh evaluations happen at the estimated perturbation.
+    the diagnostics in the field order of :class:`GradientEstimate`. This is
+    :func:`cor_cfd_gradient`'s block computation for the single coordinate
+    ``coord``, with pilot base scale ``cfg.base_perturbation``.
     """
     p = as_point(x, oracle.dimension)
-    n = cfg.batch_pairs
-    pilots = sample_pilot_perturbations(cfg, n, rng)
-    b = cfg.pairs_per_pilot
-
-    quotients = np.empty((cfg.pilot_count, b))
-    for r, c in enumerate(pilots):
-        y_plus = oracle.evaluate_batch(_shifted(p, coord, c), b)
-        y_minus = oracle.evaluate_batch(_shifted(p, coord, -c), b)
-        quotients[r] = (y_plus - y_minus) / (2.0 * c)
-
-    pilot_vars = quotients.var(axis=1, ddof=1)
-    # Var[quotient] = sigma^2 / (2 c^2), inverted per pilot and averaged.
-    sigma2_hat = float(np.mean(2.0 * pilots ** 2 * pilot_vars))
-
-    z = pilots ** 2
-    intercept, slope, slope_iqr = _fit_slope(quotients, z, cfg.bootstrap_reps, rng)
-    mu3_hat = 6.0 * slope
-    unstable = slope_iqr > _BOOTSTRAP_GUARD * abs(slope)
-
-    if sigma2_hat <= 0.0 or abs(mu3_hat) < _MU3_FLOOR or unstable:
-        c_hat = float(np.exp(np.mean(np.log(pilots))))
-    else:
-        c_hat = optimal_c(sigma2_hat, mu3_hat, n)
-    c_hat = float(np.clip(c_hat, pilots.min() / 10.0, 10.0 * pilots.max()))
-
-    # Recycle every quotient: match the regression mean at c_hat and rescale
-    # the noise from sigma/(sqrt(2) c_r) to sigma/(sqrt(2) c_hat).
-    fitted = intercept + slope * z
-    target_mean = intercept + slope * c_hat ** 2
-    recycled = target_mean + (pilots / c_hat)[:, None] * (quotients - fitted[:, None])
-    estimate = float(recycled.mean())
-
-    return estimate, c_hat, sigma2_hat, mu3_hat, intercept, 6.0 * slope_iqr
+    block = _cor_cfd_block(oracle, p, np.array([coord]),
+                           np.array([cfg.base_perturbation]), cfg, rng)
+    return tuple(block[:, 0].tolist())
 
 
 def cor_cfd_gradient(oracle: NoisyOracle, x, cfg: CorCfdConfig,
                      rng: np.random.Generator,
                      base_perturbations=None) -> GradientEstimate:
-    """Cor-CFD estimate of the full gradient, one coordinate at a time.
+    """Cor-CFD estimate of the full gradient, in blocks of coordinates.
 
-    Coordinates are processed sequentially against the same oracle stream, so
-    the run is reproducible; total cost is exactly ``2 * d * n`` evaluations
-    (``d * n`` sample pairs). ``base_perturbations`` optionally overrides the
-    pilot base scale per coordinate (used by the descent loop to adapt pilots
-    to the local curvature).
+    Each block of ``k`` coordinates is evaluated with one stacked oracle call
+    and analysed as ``(k, R, b)`` arrays. The result equals, bit for bit and
+    in the state it leaves ``rng`` and the oracle in, estimating coordinate
+    after coordinate with :func:`cor_cfd_coordinate`, so the run is
+    reproducible; total cost is exactly ``2 * d * n`` evaluations (``d * n``
+    sample pairs). ``base_perturbations`` optionally overrides the pilot base
+    scale per coordinate (used by the descent loop to adapt pilots to the
+    local curvature): ``d`` values, each finite and > 0, checked before any
+    evaluation.
     """
     p = as_point(x, oracle.dimension)
     d = oracle.dimension
-    rows = []
-    for coord in range(d):
-        coord_cfg = cfg
-        if base_perturbations is not None:
-            coord_cfg = replace(cfg, base_perturbation=float(base_perturbations[coord]))
-        rows.append(cor_cfd_coordinate(oracle, p, coord, coord_cfg, rng))
-    # One contiguous (d,) array per field, in the order the tuples carry them.
-    return GradientEstimate(*np.array(rows).T.copy(), pairs_used=d * cfg.batch_pairs)
+    if base_perturbations is None:
+        bases = np.full(d, cfg.base_perturbation)
+    else:
+        bases = np.asarray(base_perturbations, dtype=float)
+        if bases.shape != (d,) or not np.all((bases > 0.0) & (bases < np.inf)):
+            raise ValueError(f"base_perturbations must be {d} finite values > 0, "
+                             f"got {bases.tolist()!r}")
+    width = max(1, _BLOCK_INDICES // (cfg.bootstrap_reps * cfg.batch_pairs))
+    fields = np.empty((6, d))
+    for start in range(0, d, width):
+        coords = np.arange(start, min(start + width, d))
+        fields[:, coords] = _cor_cfd_block(oracle, p, coords, bases[coords], cfg, rng)
+    return GradientEstimate(*fields, pairs_used=d * cfg.batch_pairs)

@@ -18,7 +18,7 @@ from . import metrics
 from .estimators import CorCfdConfig
 from .optimizers import (ArmijoParams, ConfigurationError, GainSchedule,
                          cor_cfd_gd_run, kw_run, spsa_run)
-from .oracle import BoxDomain, NoisyOracle, get_test_function
+from .oracle import BoxDomain, get_test_function
 
 ALGORITHMS = ("kw", "spsa", "corcfd")
 
@@ -181,8 +181,7 @@ def run_trajectory(config: ExperimentConfig, algorithm: str, sigma_index: int,
     fn = get_test_function(config.function, config.dimension)
     oracle_seed, algo_seed = replication_seed(
         config.master_seed, algorithm, sigma_index, rep).spawn(2)
-    oracle = NoisyOracle(fn.mean_fn, fn.dimension, config.noise_levels[sigma_index],
-                         oracle_seed)
+    oracle = fn.make_oracle(config.noise_levels[sigma_index], oracle_seed)
     rng = np.random.default_rng(algo_seed)
     budget = config.largest_budget
     # Call the runners by their module-level names, not through a table built

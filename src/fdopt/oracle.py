@@ -73,11 +73,16 @@ class NoisyOracle:
     """Black-box objective ``Y(x) = mean_fn(x) + sigma * Z`` with exact accounting.
 
     Each ``evaluate`` call increments the evaluation counter by exactly one;
-    ``evaluate_batch(x, m)`` draws ``m`` independent observations at the same
-    point and charges ``m`` (the noise stream is identical to ``m`` single
-    calls). ``true_mean`` bypasses both noise and the counter and exists only
-    so benchmark metrics can query the noiseless objective. A NaN or infinite
-    mean value raises ``ValueError`` naming the value and the point.
+    ``evaluate_batch`` charges one per observation it returns, with the noise
+    stream of as many single calls. ``true_mean`` bypasses both noise and the
+    counter and exists only so benchmark metrics can query the noiseless
+    objective. A NaN or infinite mean value raises ``ValueError`` naming the
+    value and the point.
+
+    ``mean_fn`` maps one point to a float. With ``vectorized=True`` it also
+    maps an ``(m, d)`` stack of points to an ``(m,)`` array in one call, and
+    ``evaluate_batch`` uses that for stacks; otherwise a stack goes through
+    ``mean_fn`` row by row.
 
     Two oracles built with the same seed produce bit-identical evaluation
     streams. Instances carry mutable state (counter + RNG) and must not be
@@ -85,12 +90,13 @@ class NoisyOracle:
     """
 
     def __init__(self, mean_fn: MeanFn, dimension: int, noise_sigma: float = 0.0,
-                 seed=None):
+                 seed=None, vectorized: bool = False):
         if dimension < 1:
             raise ValueError("dimension must be >= 1")
         if noise_sigma < 0:
             raise ValueError("noise_sigma must be >= 0")
         self._mean_fn = mean_fn
+        self._vectorized = vectorized
         self.dimension = int(dimension)
         self.noise_sigma = float(noise_sigma)
         self._rng = np.random.default_rng(seed)
@@ -115,19 +121,49 @@ class NoisyOracle:
         return float(y)
 
     def evaluate_batch(self, x, size: int) -> np.ndarray:
-        """``size`` independent observations at ``x``; charges ``size`` evaluations."""
-        if len(x) != self.dimension:
+        """``size`` independent observations; charges ``size`` evaluations.
+
+        ``x`` is one point, giving a ``(size,)`` array, or an ``(m, d)`` stack
+        of points, giving an ``(m, size // m)`` array whose row ``i`` holds
+        the observations at ``x[i]``. ``size`` is the total over the stack and
+        must be a multiple of ``m``. Either way the draws equal those of
+        ``size`` single calls, point after point.
+        """
+        points = np.asarray(x, dtype=float)
+        if points.ndim not in (1, 2):
+            raise ValueError(f"expected a point or an (m, d) stack, got shape {points.shape}")
+        stack = np.atleast_2d(points)
+        m, width = stack.shape
+        if width != self.dimension:
             raise ValueError(
-                f"dimension mismatch: oracle is {self.dimension}-d, point is {len(x)}-d")
+                f"dimension mismatch: oracle is {self.dimension}-d, point is {width}-d")
         if size < 1:
             raise ValueError("size must be >= 1")
+        if size % m:
+            raise ValueError(f"size {size} is not a multiple of the {m} stacked points")
         self._count += size
-        mu = self._mean_fn(x)
-        if not math.isfinite(mu):
-            _reject_non_finite(mu, x)
+        mu = self._stack_means(stack)
+        shape = (m, size // m)
         if self.noise_sigma:
-            return mu + self.noise_sigma * self._rng.standard_normal(size)
-        return np.full(size, float(mu))
+            y = mu[:, None] + self.noise_sigma * self._rng.standard_normal(shape)
+        else:
+            y = np.repeat(mu, shape[1]).reshape(shape)
+        return y if points.ndim == 2 else y[0]
+
+    def _stack_means(self, points) -> np.ndarray:
+        """Mean values of an ``(m, d)`` stack as an ``(m,)`` array, all finite."""
+        if self._vectorized:
+            mu = np.asarray(self._mean_fn(points), dtype=float)
+            if mu.shape != (len(points),):
+                raise ValueError(f"vectorized mean_fn returned shape {mu.shape} "
+                                 f"for {len(points)} points")
+        else:
+            mu = np.fromiter(map(self._mean_fn, points), float, len(points))
+        finite = np.isfinite(mu)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            _reject_non_finite(mu[i], points[i])
+        return mu
 
     def true_mean(self, x) -> float:
         """Noiseless mean response. Metrics only: does not touch the counter."""
@@ -136,16 +172,24 @@ class NoisyOracle:
 
 @dataclass(frozen=True)
 class TestFunction:
-    """A benchmark objective with a known optimum."""
+    """A benchmark objective with a known optimum.
+
+    ``mean_fn`` maps one point to a float; ``vectorized`` says it also maps
+    an ``(m, d)`` stack of points to an ``(m,)`` array, equal row for row.
+    ``make_oracle`` passes the flag on, so one oracle call can evaluate a
+    whole stack of probe points.
+    """
 
     name: str
     dimension: int
     mean_fn: MeanFn
     optimum_point: np.ndarray
     optimum_value: float
+    vectorized: bool = False
 
     def make_oracle(self, noise_sigma: float = 0.0, seed=None) -> NoisyOracle:
-        return NoisyOracle(self.mean_fn, self.dimension, noise_sigma, seed)
+        return NoisyOracle(self.mean_fn, self.dimension, noise_sigma, seed,
+                           self.vectorized)
 
 
 def quartic_mean(x) -> float:
@@ -156,19 +200,21 @@ def cos100_mean(x) -> float:
     return -100.0 * math.cos(math.pi * float(x[0]) / 100.0)
 
 
-def fn213_mean(x) -> float:
+def fn213_mean(x):
     """Sum over coordinate pairs of ``(10(x_even - x_odd)^2 + (1 - x_odd)^2)^4``.
 
     A narrow curved valley with steep walls; global minimum 0 at all-ones.
-    Requires an even dimension.
+    Requires an even dimension. A point gives a float; an ``(m, d)`` stack
+    gives an ``(m,)`` array, each entry equal to that row's float.
     """
-    if len(x) % 2:
-        raise ValueError("fn213 requires an even dimension")
     v = np.asarray(x, dtype=float)
-    first = v[0::2]
-    second = v[1::2]
+    if v.shape[-1] % 2:
+        raise ValueError("fn213 requires an even dimension")
+    first = v[..., 0::2]
+    second = v[..., 1::2]
     terms = 10.0 * (second - first) ** 2 + (1.0 - first) ** 2
-    return float((terms ** 4).sum())
+    total = (terms ** 4).sum(axis=-1)
+    return float(total) if v.ndim == 1 else total
 
 
 def get_test_function(name: str, dimension: int | None = None) -> TestFunction:
@@ -185,5 +231,5 @@ def get_test_function(name: str, dimension: int | None = None) -> TestFunction:
         d = 64 if dimension is None else int(dimension)
         if d < 2 or d % 2:
             raise ValueError("fn213 requires an even dimension >= 2")
-        return TestFunction("fn213", d, fn213_mean, np.ones(d), 0.0)
+        return TestFunction("fn213", d, fn213_mean, np.ones(d), 0.0, vectorized=True)
     raise ValueError(f"unknown test function {name!r}; expected quartic, cos100, or fn213")

@@ -350,6 +350,10 @@ def _golden(command, algorithm, output, digest, config=GOLDEN_CFG, label=""):
     _golden("estimate", "corcfd", "estimate.csv",
             "0b7cdcbf681f4c36ea6c6a08bf5c214a448d282160d184ee97e20f56efec19fa",
             config=FN213_CORCFD_CFG, label="fn213-"),
+    # n = 200 puts the 8 coordinates in blocks of 3, 3 and 2.
+    _golden("estimate", "corcfd", "estimate.csv",
+            "db80033ba79d49a7d13f657ca9f3633a416ae33b3614d0614193954bbc357cdd",
+            config=FN213_CORCFD_CFG.replace("n = 60", "n = 200"), label="fn213-n200-"),
 ])
 def test_golden_output_bytes(tmp_path, command, algorithm, output, digest, config):
     path = tmp_path / "golden.cfg"
@@ -361,16 +365,20 @@ def test_golden_output_bytes(tmp_path, command, algorithm, output, digest, confi
 def test_perfbench_trace_matches_untraced_bench(tmp_path, monkeypatch):
     # perfbench/layers.py patches runners and helpers by name in fdopt's
     # modules; a traced bench must still see every run and write the same bytes.
+    # The fn213 bench charges its Cor-CFD gradients through stacked batches.
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     import layers
 
-    path = tmp_path / "golden.cfg"
-    path.write_text(GOLDEN_CFG)
-    argv = ["bench", "--config", str(path), "--workers", "1", "--out"]
-    assert main(argv + [str(tmp_path / "plain")]) == 0
-    with layers.instrument(layers.Tracer()) as tracer:
-        assert cli.main(argv + [str(tmp_path / "traced")]) == 0
-    assert ((tmp_path / "traced" / "table.csv").read_bytes()
-            == (tmp_path / "plain" / "table.csv").read_bytes())
-    assert len(tracer.reps) == 3 * 2 * 3  # algorithms x noise levels x replications
-    assert tracer.consistency_errors() == []
+    fn213 = FN213_CORCFD_CFG.replace("algorithm = corcfd", "algorithms = corcfd")
+    for name, config, runs in (("golden", GOLDEN_CFG, 3 * 2 * 3),  # algorithms x
+                               ("fn213", fn213, 1)):              # levels x reps
+        path = tmp_path / f"{name}.cfg"
+        path.write_text(config)
+        argv = ["bench", "--config", str(path), "--workers", "1", "--out"]
+        assert main(argv + [str(tmp_path / name / "plain")]) == 0
+        with layers.instrument(layers.Tracer()) as tracer:
+            assert cli.main(argv + [str(tmp_path / name / "traced")]) == 0
+        assert ((tmp_path / name / "traced" / "table.csv").read_bytes()
+                == (tmp_path / name / "plain" / "table.csv").read_bytes())
+        assert len(tracer.reps) == runs
+        assert tracer.consistency_errors() == []

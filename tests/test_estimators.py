@@ -1,11 +1,13 @@
 """Tests for CFD quotients, the optimal perturbation, and the Cor-CFD pipeline."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from fdopt.estimators import (CfdConfig, CorCfdConfig, DegenerateInputError,
-                              cfd_batch, cfd_pair, cor_cfd_coordinate,
-                              cor_cfd_gradient, optimal_c,
+                              GradientEstimate, cfd_batch, cfd_pair,
+                              cor_cfd_coordinate, cor_cfd_gradient, optimal_c,
                               sample_pilot_perturbations)
 from fdopt.oracle import NoisyOracle, get_test_function
 
@@ -314,3 +316,96 @@ def test_gradient_budget_across_random_configs():
         assert np.all(np.isfinite(grad.g))
         assert np.all(grad.c_hat > 0)
         assert np.all(grad.sigma2_hat >= 0)
+
+
+def _cor_cfd_reference(oracle, x, cfg, rng, base_perturbations=None):
+    """The coordinate-by-coordinate Cor-CFD gradient: two single-point batches
+    per pilot and one bootstrap and percentile pass per coordinate."""
+    p = np.asarray(x, dtype=float)
+    d, n, b = oracle.dimension, cfg.batch_pairs, cfg.pairs_per_pilot
+    rows = []
+    for coord in range(d):
+        coord_cfg = cfg
+        if base_perturbations is not None:
+            coord_cfg = replace(cfg, base_perturbation=float(base_perturbations[coord]))
+        pilots = sample_pilot_perturbations(coord_cfg, n, rng)
+        quotients = np.empty((cfg.pilot_count, b))
+        for r, c in enumerate(pilots):
+            plus, minus = p.copy(), p.copy()
+            plus[coord] += c
+            minus[coord] += -c
+            quotients[r] = ((oracle.evaluate_batch(plus, b) - oracle.evaluate_batch(minus, b))
+                            / (2.0 * c))
+        sigma2_hat = float(np.mean(2.0 * pilots ** 2 * quotients.var(axis=1, ddof=1)))
+
+        z = pilots ** 2
+        idx = rng.integers(0, b, size=(cfg.bootstrap_reps, cfg.pilot_count, b))
+        y = quotients.mean(axis=1)
+        zc = z - z.mean()
+        denom = float(zc @ zc)
+        if denom <= 0.0:
+            intercept, slope, slope_iqr = float(y.mean()), 0.0, 0.0
+        else:
+            slope = float(zc @ (y - y.mean())) / denom
+            intercept = float(y.mean()) - slope * float(z.mean())
+            boot = quotients[np.arange(cfg.pilot_count)[None, :, None], idx].mean(axis=2)
+            slopes = (boot - boot.mean(axis=1, keepdims=True)) @ zc / denom
+            q75, q25 = np.percentile(slopes, [75.0, 25.0])
+            slope_iqr = float(q75 - q25)
+
+        mu3_hat = 6.0 * slope
+        if (sigma2_hat <= 0.0 or abs(mu3_hat) < 1e-12
+                or slope_iqr > 10.0 * abs(slope)):
+            c_hat = float(np.exp(np.mean(np.log(pilots))))
+        else:
+            c_hat = optimal_c(sigma2_hat, mu3_hat, n)
+        c_hat = float(np.clip(c_hat, pilots.min() / 10.0, 10.0 * pilots.max()))
+        fitted = intercept + slope * z
+        recycled = (intercept + slope * c_hat ** 2
+                    + (pilots / c_hat)[:, None] * (quotients - fitted[:, None]))
+        rows.append((float(recycled.mean()), c_hat, sigma2_hat, mu3_hat, intercept,
+                     6.0 * slope_iqr))
+    return GradientEstimate(*np.array(rows).T.copy(), pairs_used=d * n)
+
+
+# (d, R, n): at the default 200 bootstrap resamples a block holds
+# 2**17 // (200 n) coordinates, so these give 1, 1, 2, 1, 4, 1, 2 and 5 blocks.
+@pytest.mark.parametrize("d, R, n", [(1, 10, 20), (2, 10, 20), (2, 10, 400),
+                                     (8, 5, 20), (8, 10, 220), (64, 5, 10),
+                                     (64, 10, 20), (64, 10, 50)])
+@pytest.mark.parametrize("sigma", [0.0, 1.5])
+@pytest.mark.parametrize("adapted", [False, True])
+def test_gradient_blocks_match_coordinate_loop_bit_for_bit(d, R, n, sigma, adapted):
+    fn = get_test_function("quartic") if d == 1 else get_test_function("fn213", d)
+    seed = 1000 * d + n
+    x = 1.0 + np.random.default_rng(seed).normal(size=d)
+    bases = np.random.default_rng(seed + 1).uniform(0.05, 3.0, size=d) if adapted else None
+    # With spread 0 every pilot is equal, and most coordinates take the
+    # rank-deficient branch (mu3_hat 0); the rest fit the rounding error of
+    # the mean of z, as the loop does.
+    for spread in (0.5, 0.0):
+        cfg = CorCfdConfig(pilot_count=R, batch_pairs=n, pilot_spread=spread)
+        o, o_ref = fn.make_oracle(sigma, seed=seed), fn.make_oracle(sigma, seed=seed)
+        rng, rng_ref = np.random.default_rng(seed + 2), np.random.default_rng(seed + 2)
+        got = cor_cfd_gradient(o, x, cfg, rng, bases)
+        ref = _cor_cfd_reference(o_ref, x, cfg, rng_ref, bases)
+        for field in ("g", "c_hat", "sigma2_hat", "mu3_hat", "intercept", "mu3_iqr"):
+            assert np.array_equal(getattr(got, field), getattr(ref, field)), field
+        assert got.pairs_used == ref.pairs_used == d * n
+        assert o.eval_counter == o_ref.eval_counter == 2 * d * n
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
+        assert o._rng.bit_generator.state == o_ref._rng.bit_generator.state
+
+
+@pytest.mark.parametrize("bases", [[1.0] * 6, [1.0] * 3, [[1.0] * 4],
+                                   [1.0, 0.0, 1.0, 1.0], [1.0, -2.0, 1.0, 1.0],
+                                   [1.0, 1.0, np.nan, 1.0], [1.0, 1.0, 1.0, np.inf]],
+                         ids=["six", "three", "2-d", "zero", "negative", "nan", "inf"])
+def test_gradient_rejects_bad_base_perturbations_before_evaluating(bases):
+    o = get_test_function("fn213", 4).make_oracle(1.0, seed=3)
+    rng = np.random.default_rng(4)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="base_perturbations must be 4 finite values > 0"):
+        cor_cfd_gradient(o, np.ones(4), CorCfdConfig(), rng, base_perturbations=bases)
+    assert o.eval_counter == 0
+    assert rng.bit_generator.state == state

@@ -130,6 +130,62 @@ def test_batch_stream_matches_single_calls():
     assert np.array_equal(batch, singles)
 
 
+def _stack(m, d, seed=0):
+    return 1.0 + np.random.default_rng(seed).normal(size=(m, d))
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1.0])
+@pytest.mark.parametrize("fn_id, d", [("quartic", 1), ("fn213", 6)])
+def test_stack_batch_equals_point_batches_in_row_order(fn_id, d, sigma):
+    fn = get_test_function(fn_id, d)
+    points = _stack(5, d)
+    a, b = fn.make_oracle(sigma, seed=9), fn.make_oracle(sigma, seed=9)
+    got = a.evaluate_batch(points, 15)
+    assert got.shape == (5, 3)
+    assert a.eval_counter == 15
+    assert np.array_equal(got, np.array([b.evaluate_batch(p, 3) for p in points]))
+    assert a._rng.bit_generator.state == b._rng.bit_generator.state
+    if sigma == 0.0:
+        assert np.array_equal(got, np.repeat([[fn.mean_fn(p)] for p in points], 3, axis=1))
+
+
+def test_vectorized_fn213_matches_row_by_row():
+    points = _stack(40, 8, seed=3) * 3.0
+    rows = NoisyOracle(fn213_mean, 8, 2.0, seed=1)
+    stacked = NoisyOracle(fn213_mean, 8, 2.0, seed=1, vectorized=True)
+    assert get_test_function("fn213", 8).make_oracle().evaluate_batch(points, 40).shape == (40, 1)
+    assert np.array_equal(rows.evaluate_batch(points, 80), stacked.evaluate_batch(points, 80))
+    assert np.array_equal(fn213_mean(points), [fn213_mean(p) for p in points])
+    assert isinstance(fn213_mean(points[0]), float)
+
+
+def test_stack_batch_rejects_bad_sizes_and_widths():
+    o = NoisyOracle(fn213_mean, 4, 1.0, seed=0, vectorized=True)
+    with pytest.raises(ValueError, match="size 7 is not a multiple of the 2 stacked points"):
+        o.evaluate_batch(np.ones((2, 4)), 7)
+    with pytest.raises(ValueError, match="dimension mismatch: oracle is 4-d, point is 6-d"):
+        o.evaluate_batch(np.ones((2, 6)), 2)
+    with pytest.raises(ValueError, match="size must be >= 1"):
+        o.evaluate_batch(np.ones((2, 4)), 0)
+    assert o.eval_counter == 0
+    bad = NoisyOracle(lambda x: np.zeros(3), 4, vectorized=True)
+    with pytest.raises(ValueError, match=r"returned shape \(3,\) for 2 points"):
+        bad.evaluate_batch(np.ones((2, 4)), 2)
+
+
+@pytest.mark.parametrize("vectorized", [False, True])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_stack_batch_names_the_non_finite_row(value, vectorized):
+    def mean_fn(x):
+        x = np.asarray(x)
+        return np.where(x[..., 0] == 2.0, value, 1.0) if vectorized else (
+            value if x[0] == 2.0 else 1.0)
+
+    o = NoisyOracle(mean_fn, 2, 1.0, seed=0, vectorized=vectorized)
+    with pytest.raises(ValueError, match=rf"non-finite value {value} at point \[2\.0, 3\.0\]"):
+        o.evaluate_batch(np.array([[1.0, 1.0], [2.0, 3.0], [2.0, 5.0]]), 6)
+
+
 def test_dimension_mismatch_raises():
     o = NoisyOracle(fn213_mean, 4, 0.0, seed=0)
     with pytest.raises(ValueError):
