@@ -154,6 +154,31 @@ _BOOTSTRAP_GUARD = 10.0
 _BLOCK_INDICES = 2 ** 17
 
 
+def _quartile_spread(samples: np.ndarray) -> np.ndarray:
+    """Row-wise ``q75 - q25`` of a ``(k, m)`` array.
+
+    Equal, bit for bit, to ``np.percentile(samples, [75, 25], axis=1)`` with
+    its default linear method: the same partition and interpolation steps,
+    without its fixed cost of about 70 us per call.
+    """
+    m = samples.shape[1]
+    if m == 1:  # numpy takes the one value as both neighbours, with weight 1
+        cuts = [(-1, -1, 1.0)] * 2
+    else:       # interpolate at (m - 1) q between order statistics lo, lo + 1
+        cuts = [(int(at), int(at) + 1, at - int(at))
+                for at in ((m - 1) * 0.75, (m - 1) * 0.25)]
+    kth = sorted({0, m - 1} | {i % m for lo, hi, _ in cuts for i in (lo, hi)})
+    ordered = np.partition(samples, kth, axis=1)
+    quartiles = []
+    for lo, hi, t in cuts:
+        below, above = ordered[:, lo], ordered[:, hi]
+        diff = above - below
+        quartiles.append(above - diff * (1 - t) if t >= 0.5 else below + diff * t)
+    spread = quartiles[0] - quartiles[1]
+    spread[np.isnan(ordered[:, -1])] = np.nan  # numpy's answer for rows with a NaN
+    return spread
+
+
 def _cor_cfd_block(oracle: NoisyOracle, p: np.ndarray, coords: np.ndarray,
                    bases: np.ndarray, cfg: CorCfdConfig,
                    rng: np.random.Generator) -> np.ndarray:
@@ -222,8 +247,7 @@ def _cor_cfd_block(oracle: NoisyOracle, p: np.ndarray, coords: np.ndarray,
         boot_means = quotients[i][rows, idx[i]].mean(axis=2)            # (reps, R)
         centered = boot_means - boot_means.mean(axis=1, keepdims=True)
         slopes[i] = centered @ zc[i] / denom[i]
-    q75, q25 = np.percentile(slopes, [75.0, 25.0], axis=1)
-    slope_iqr = q75 - q25
+    slope_iqr = _quartile_spread(slopes)
 
     mu3_hat = 6.0 * slope
     unstable = slope_iqr > _BOOTSTRAP_GUARD * np.abs(slope)

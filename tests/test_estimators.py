@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fdopt.estimators import (CfdConfig, CorCfdConfig, DegenerateInputError,
-                              GradientEstimate, cfd_batch, cfd_pair,
+                              GradientEstimate, _quartile_spread, cfd_batch, cfd_pair,
                               cor_cfd_coordinate, cor_cfd_gradient, optimal_c,
                               sample_pilot_perturbations)
 from fdopt.oracle import NoisyOracle, get_test_function
@@ -409,3 +409,20 @@ def test_gradient_rejects_bad_base_perturbations_before_evaluating(bases):
         cor_cfd_gradient(o, np.ones(4), CorCfdConfig(), rng, base_perturbations=bases)
     assert o.eval_counter == 0
     assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 7, 10, 199, 200, 201])
+def test_quartile_spread_equals_numpy_percentile(m):
+    rng = np.random.default_rng(m)
+    rows = [rng.normal(size=m) * 1e3, np.round(rng.normal(size=m)),  # ties, signed zeros
+            np.zeros(m), np.full(m, -np.inf), rng.normal(size=m)]
+    rows[-1][m // 2] = np.nan
+    if m > 1:
+        rows.append(np.where(np.arange(m) == 0, np.inf, rng.normal(size=m)))
+    samples = np.array(rows)
+    with np.errstate(invalid="ignore"):
+        q75, q25 = np.percentile(samples, [75.0, 25.0], axis=1)
+        expected = q75 - q25
+        got = _quartile_spread(samples)
+    assert np.array_equal(got, expected, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(expected))
