@@ -159,7 +159,8 @@ def _quartile_spread(samples: np.ndarray) -> np.ndarray:
 
     Equal, bit for bit, to ``np.percentile(samples, [75, 25], axis=1)`` with
     its default linear method: the same partition and interpolation steps,
-    without its fixed cost of about 70 us per call.
+    without its fixed per-call overhead, which outweighs the whole bootstrap
+    of a one-coordinate block.
     """
     m = samples.shape[1]
     if m == 1:  # numpy takes the one value as both neighbours, with weight 1
