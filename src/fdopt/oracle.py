@@ -142,28 +142,22 @@ class NoisyOracle:
         if size % m:
             raise ValueError(f"size {size} is not a multiple of the {m} stacked points")
         self._count += size
-        mu = self._stack_means(stack)
+        if self._vectorized:
+            mu = np.asarray(self._mean_fn(stack), dtype=float)
+            if mu.shape != (m,):
+                raise ValueError(f"vectorized mean_fn returned shape {mu.shape} for {m} points")
+        else:
+            mu = np.fromiter(map(self._mean_fn, stack), float, m)
+        finite = np.isfinite(mu)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            _reject_non_finite(mu[i], stack[i])
         shape = (m, size // m)
         if self.noise_sigma:
             y = mu[:, None] + self.noise_sigma * self._rng.standard_normal(shape)
         else:
             y = np.repeat(mu, shape[1]).reshape(shape)
         return y if points.ndim == 2 else y[0]
-
-    def _stack_means(self, points) -> np.ndarray:
-        """Mean values of an ``(m, d)`` stack as an ``(m,)`` array, all finite."""
-        if self._vectorized:
-            mu = np.asarray(self._mean_fn(points), dtype=float)
-            if mu.shape != (len(points),):
-                raise ValueError(f"vectorized mean_fn returned shape {mu.shape} "
-                                 f"for {len(points)} points")
-        else:
-            mu = np.fromiter(map(self._mean_fn, points), float, len(points))
-        finite = np.isfinite(mu)
-        if not finite.all():
-            i = int(np.argmin(finite))
-            _reject_non_finite(mu[i], points[i])
-        return mu
 
     def true_mean(self, x) -> float:
         """Noiseless mean response. Metrics only: does not touch the counter."""

@@ -167,6 +167,8 @@ def test_stack_batch_rejects_bad_sizes_and_widths():
         o.evaluate_batch(np.ones((2, 6)), 2)
     with pytest.raises(ValueError, match="size must be >= 1"):
         o.evaluate_batch(np.ones((2, 4)), 0)
+    with pytest.raises(ValueError, match=r"a point or an \(m, d\) stack, got shape \(2, 2, 4\)"):
+        o.evaluate_batch(np.ones((2, 2, 4)), 4)
     assert o.eval_counter == 0
     bad = NoisyOracle(lambda x: np.zeros(3), 4, vectorized=True)
     with pytest.raises(ValueError, match=r"returned shape \(3,\) for 2 points"):
