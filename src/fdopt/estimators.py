@@ -225,17 +225,18 @@ def _cor_cfd_block(oracle: NoisyOracle, p: np.ndarray, coords: np.ndarray,
     # Var[quotient] = sigma^2 / (2 c^2), inverted per pilot and averaged.
     sigma2_hat = np.mean(2.0 * pilots ** 2 * quotients.var(axis=2, ddof=1), axis=1)
 
-    # OLS of the pilot means on z = c^2. With no spread in z the fit is
-    # rank-deficient: the slope and its bootstrap IQR are then 0 and the
-    # intercept is the plain mean. The bootstrap indices were drawn in
-    # either case, so the stream of rng does not depend on the pilot spread.
+    # OLS of the pilot means on z = c^2. With equal pilots (z - mean(z) may
+    # still be rounding noise) the fit is rank-deficient: the slope and its
+    # bootstrap IQR are then 0 and the intercept is the plain mean. The
+    # bootstrap indices are drawn in either case, so rng's stream does not
+    # depend on the pilot spread.
     z = pilots ** 2
     z_mean = z.mean(axis=1, keepdims=True)
     y_bar = quotients.mean(axis=2)
     y_mean = y_bar.mean(axis=1, keepdims=True)
     zc = z - z_mean
     denom = (zc[:, None, :] @ zc[:, :, None])[:, 0, 0]
-    fit = denom > 0.0
+    fit = pilots.max(axis=1) > pilots.min(axis=1)
     denom[~fit] = 1.0
     cross = (zc[:, None, :] @ (y_bar - y_mean)[:, :, None])[:, 0, 0]
     slope = np.where(fit, cross / denom, 0.0)

@@ -237,11 +237,14 @@ def run_replications(config: ExperimentConfig, algorithm: str) -> list[Replicati
     if algorithm not in ALGORITHMS:
         raise ConfigurationError(f"unknown algorithm {algorithm!r}")
     checkpoints = config.effective_checkpoints
+    reps = config.replications
+    # One pool for every noise level; outcomes come back in task order.
+    tasks = [(config, algorithm, sigma_index, rep)
+             for sigma_index in range(len(config.noise_levels)) for rep in range(reps)]
+    all_outcomes = _pool_map(config.workers, _replication_gaps, tasks)
     results = []
     for sigma_index, sigma in enumerate(config.noise_levels):
-        tasks = [(config, algorithm, sigma_index, rep)
-                 for rep in range(config.replications)]
-        outcomes = _pool_map(config.workers, _replication_gaps, tasks)
+        outcomes = all_outcomes[sigma_index * reps:(sigma_index + 1) * reps]
         sol = np.stack([o[0] for o in outcomes])
         opt = np.stack([o[1] for o in outcomes])
         settles = [o[2] for o in outcomes]

@@ -9,6 +9,7 @@ in this package (one "sample pair" = two evaluations).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -18,6 +19,8 @@ Point = np.ndarray
 MeanFn = Callable[[np.ndarray], float]
 
 _UINT64_MASK = (1 << 64) - 1
+# Normals a NoisyOracle draws per generator call, ahead of its observations.
+_AHEAD = 128
 
 
 def as_point(x, dimension: int | None = None) -> np.ndarray:
@@ -85,21 +88,25 @@ class NoisyOracle:
     ``mean_fn`` row by row.
 
     Two oracles built with the same seed produce bit-identical evaluation
-    streams. Instances carry mutable state (counter + RNG) and must not be
-    shared between threads.
+    streams: observation ``k`` gets normal ``k`` of the seed's stream, as one
+    ``standard_normal()`` call per observation would give it. The generator
+    draws ahead in blocks of ``_AHEAD`` (none at ``noise_sigma`` 0), so it
+    may run up to one block ahead of the observations. Instances carry
+    mutable state (counter + RNG) and must not be shared between threads.
     """
 
     def __init__(self, mean_fn: MeanFn, dimension: int, noise_sigma: float = 0.0,
                  seed=None, vectorized: bool = False):
         if dimension < 1:
             raise ValueError("dimension must be >= 1")
-        if noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
+        if not 0 <= noise_sigma < math.inf:  # also false for NaN
+            raise ValueError(f"noise_sigma={noise_sigma!r} must satisfy 0 <= sigma < inf")
         self._mean_fn = mean_fn
         self._vectorized = vectorized
         self.dimension = int(dimension)
         self.noise_sigma = float(noise_sigma)
         self._rng = np.random.default_rng(seed)
+        self._ahead = iter(())  # normals drawn but not yet used
         self._count = 0
 
     @property
@@ -117,7 +124,11 @@ class NoisyOracle:
         if not math.isfinite(y):
             _reject_non_finite(y, x)
         if self.noise_sigma:
-            y += self.noise_sigma * self._rng.standard_normal()
+            z = next(self._ahead, None)
+            if z is None:
+                self._ahead = iter(self._rng.standard_normal(_AHEAD).tolist())
+                z = next(self._ahead)
+            y += self.noise_sigma * z
         return float(y)
 
     def evaluate_batch(self, x, size: int) -> np.ndarray:
@@ -154,7 +165,13 @@ class NoisyOracle:
             _reject_non_finite(mu[i], stack[i])
         shape = (m, size // m)
         if self.noise_sigma:
-            y = mu[:, None] + self.noise_sigma * self._rng.standard_normal(shape)
+            held = min(operator.length_hint(self._ahead), size)
+            if held:  # first use up the block that evaluate drew
+                z = np.concatenate((np.fromiter(self._ahead, float, held),
+                                    self._rng.standard_normal(size - held))).reshape(shape)
+            else:
+                z = self._rng.standard_normal(shape)
+            y = mu[:, None] + self.noise_sigma * z
         else:
             y = np.repeat(mu, shape[1]).reshape(shape)
         return y if points.ndim == 2 else y[0]

@@ -343,7 +343,7 @@ def _cor_cfd_reference(oracle, x, cfg, rng, base_perturbations=None):
         y = quotients.mean(axis=1)
         zc = z - z.mean()
         denom = float(zc @ zc)
-        if denom <= 0.0:
+        if not pilots.max() > pilots.min():
             intercept, slope, slope_iqr = float(y.mean()), 0.0, 0.0
         else:
             slope = float(zc @ (y - y.mean())) / denom
@@ -380,9 +380,8 @@ def test_gradient_blocks_match_coordinate_loop_bit_for_bit(d, R, n, sigma, adapt
     seed = 1000 * d + n
     x = 1.0 + np.random.default_rng(seed).normal(size=d)
     bases = np.random.default_rng(seed + 1).uniform(0.05, 3.0, size=d) if adapted else None
-    # With spread 0 every pilot is equal, and most coordinates take the
-    # rank-deficient branch (mu3_hat 0); the rest fit the rounding error of
-    # the mean of z, as the loop does.
+    # With spread 0 every pilot is equal and every coordinate takes the
+    # rank-deficient branch (mu3_hat 0).
     for spread in (0.5, 0.0):
         cfg = CorCfdConfig(pilot_count=R, batch_pairs=n, pilot_spread=spread)
         o, o_ref = fn.make_oracle(sigma, seed=seed), fn.make_oracle(sigma, seed=seed)
@@ -395,6 +394,20 @@ def test_gradient_blocks_match_coordinate_loop_bit_for_bit(d, R, n, sigma, adapt
         assert o.eval_counter == o_ref.eval_counter == 2 * d * n
         assert rng.bit_generator.state == rng_ref.bit_generator.state
         assert o._rng.bit_generator.state == o_ref._rng.bit_generator.state
+
+
+@pytest.mark.parametrize("n", [200, 400])
+def test_equal_pilots_give_no_slope(n):
+    # At these n the mean of the ten equal z = c^2 rounds, so z - mean(z) is
+    # not exactly 0; the fit must still count as rank-deficient.
+    cfg = CorCfdConfig(pilot_count=10, batch_pairs=n, pilot_spread=0.0)
+    o = get_test_function("fn213", 2).make_oracle(0.0, seed=1)
+    est = cor_cfd_gradient(o, np.array([1.3, 0.4]), cfg, np.random.default_rng(2))
+    pilot = cfg.base_perturbation * float(n) ** -0.1
+    assert np.array_equal(est.mu3_hat, [0.0, 0.0])
+    assert np.array_equal(est.mu3_iqr, [0.0, 0.0])
+    assert est.c_hat == pytest.approx([pilot, pilot], rel=1e-15)
+    assert est.g == pytest.approx(est.intercept, rel=1e-12)  # the plain mean
 
 
 @pytest.mark.parametrize("bases", [[1.0] * 6, [1.0] * 3, [[1.0] * 4],

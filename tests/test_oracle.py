@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fdopt.oracle import (BoxDomain, NoisyOracle, as_point, fn213_mean,
+from fdopt.oracle import (_AHEAD, BoxDomain, NoisyOracle, as_point, fn213_mean,
                           get_test_function, quartic_mean)
 
 
@@ -128,6 +128,63 @@ def test_batch_stream_matches_single_calls():
     batch = a.evaluate_batch(np.array([1.5]), 8)
     singles = np.array([b.evaluate(np.array([1.5])) for _ in range(8)])
     assert np.array_equal(batch, singles)
+
+
+def test_block_draws_equal_the_per_call_stream():
+    # Calls chosen to start, end and cross the edges of the blocks the oracle
+    # draws ahead: ("e", 1) is one evaluate, ("p", size) a batch at one point
+    # and ("s", size) a batch on a stack of points.
+    b = _AHEAD
+    script = [("e", 1), ("p", 1), ("p", b - 1), ("p", b), ("e", 1), ("s", b - 1),
+              ("e", 1), ("s", b + 1), ("p", 3 * b + 5), ("e", 1), ("e", 1), ("e", 1),
+              ("s", b), ("e", 1), ("p", b + 1), ("s", 3 * b + 5), ("e", 1), ("p", 1)]
+    fn = get_test_function("fn213", 2)
+    o = fn.make_oracle(2.5, seed=11)
+    stream = np.random.default_rng(11)
+    points = np.random.default_rng(0)
+    for kind, size in script:
+        if kind == "e":
+            x = points.normal(size=2)
+            assert o.evaluate(x) == fn.mean_fn(x) + 2.5 * stream.standard_normal()
+            continue
+        m = next(k for k in (3, 2, 1) if size % k == 0) if kind == "s" else 1
+        x = points.normal(size=(m, 2))
+        got = o.evaluate_batch(x if kind == "s" else x[0], size)
+        want = [[fn.mean_fn(p) + 2.5 * stream.standard_normal() for _ in range(size // m)]
+                for p in x]
+        assert np.array_equal(got, want if kind == "s" else want[0]), (kind, size)
+    assert o.eval_counter == sum(size for _, size in script)
+
+
+def test_zero_sigma_never_draws():
+    o = NoisyOracle(quartic_mean, 1, 0.0, seed=3)
+    state = o._rng.bit_generator.state
+    o.evaluate(np.array([2.0]))
+    assert np.array_equal(o.evaluate_batch(np.array([[1.0], [2.0]]), 2 * _AHEAD),
+                          np.repeat([[1.0], [16.0]], _AHEAD, axis=1))
+    o.evaluate(np.array([2.0]))
+    assert o._rng.bit_generator.state == state
+
+
+def test_non_finite_mean_does_not_use_a_normal():
+    o = NoisyOracle(lambda x: np.nan if x[0] == 2.0 else 0.0, 1, 1.0, seed=5)
+    stream = np.random.default_rng(5)
+    with pytest.raises(ValueError, match="non-finite value nan"):
+        o.evaluate(np.array([2.0]))
+    assert o.evaluate(np.array([1.0])) == stream.standard_normal()
+    with pytest.raises(ValueError, match="non-finite value nan"):
+        o.evaluate(np.array([2.0]))
+    assert o.evaluate(np.array([1.0])) == stream.standard_normal()
+    with pytest.raises(ValueError, match="non-finite value nan"):
+        o.evaluate_batch(np.array([[1.0], [2.0]]), 4)
+    assert np.array_equal(o.evaluate_batch(np.array([1.0]), 3),
+                          [stream.standard_normal() for _ in range(3)])
+
+
+@pytest.mark.parametrize("sigma", [np.nan, np.inf, -1])
+def test_non_finite_or_negative_sigma_rejected(sigma):
+    with pytest.raises(ValueError, match=rf"noise_sigma={sigma!r} must satisfy 0 <= sigma < inf"):
+        NoisyOracle(quartic_mean, 1, sigma)
 
 
 def _stack(m, d, seed=0):
