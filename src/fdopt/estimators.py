@@ -151,7 +151,7 @@ _MU3_FLOOR = 1e-12
 _BOOTSTRAP_GUARD = 10.0
 # A block of k coordinates draws k * bootstrap_reps * batch_pairs bootstrap
 # indices; blocks hold at most this many (and at least one coordinate).
-_BLOCK_INDICES = 2 ** 17
+_BLOCK_INDICES = 2 ** 15
 
 
 def _quartile_spread(samples: np.ndarray) -> np.ndarray:
@@ -180,6 +180,31 @@ def _quartile_spread(samples: np.ndarray) -> np.ndarray:
     return spread
 
 
+def _pairwise_sum(term, js: range) -> np.ndarray:
+    """Sum of the new arrays ``term(j)`` over ``js``, bit for bit as
+    ``np.add.reduce`` sums a contiguous axis: from +0.0, in turn below 8
+    values, in 8 interleaved lanes up to 128, and as halves cut at a multiple
+    of 8 beyond. At most 9 terms are held at once."""
+    n = len(js)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(term, js[:half]) + _pairwise_sum(term, js[half:])
+    if n < 8:
+        total, rest = term(js[0]), js[1:]
+    else:
+        lanes = [term(j) for j in js[:8]]
+        for start in js[8:n - n % 8:8]:
+            for i, lane in enumerate(lanes):
+                lane += term(start + i)
+        total = (((lanes[0] + lanes[1]) + (lanes[2] + lanes[3]))
+                 + ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7])))
+        rest = js[n - n % 8:]
+    for j in rest:
+        total += term(j)
+    total += 0.0  # numpy's +0.0 start (added to every part, it changes no more)
+    return total
+
+
 def _cor_cfd_block(oracle: NoisyOracle, p: np.ndarray, coords: np.ndarray,
                    bases: np.ndarray, cfg: CorCfdConfig,
                    rng: np.random.Generator) -> np.ndarray:
@@ -197,21 +222,23 @@ def _cor_cfd_block(oracle: NoisyOracle, p: np.ndarray, coords: np.ndarray,
     and average the location/scale-recycled quotients. No fresh evaluations
     happen at the estimated perturbation.
 
-    Every draw and every floating-point operation is the one a
-    coordinate-by-coordinate loop would make: ``rng`` gives each coordinate
+    Every draw and every floating-point result is the one a
+    coordinate-by-coordinate loop would give: ``rng`` gives each coordinate
     its pilots and then its bootstrap indices, the oracle draws the noise of
-    coordinate, pilot, then ``+``/``-`` side in turn, and the dot products
-    and the powers of ``c_hat`` are taken per coordinate.
+    coordinate, pilot, then ``+``/``-`` side in turn, bootstrap means are
+    summed in ``np.add.reduce``'s order, each batched ``@`` makes one kernel
+    call per coordinate and the powers of ``c_hat`` are taken per coordinate.
     """
     k, d = len(coords), oracle.dimension
     n_pilots, b, n = cfg.pilot_count, cfg.pairs_per_pilot, cfg.batch_pairs
     reps = cfg.bootstrap_reps
     u = np.empty((k, n_pilots))
-    # Indices are drawn as int64 (the dtype fixes the stream) but kept small.
-    idx = np.empty((k, reps, n_pilots, b), dtype=np.min_scalar_type(b - 1))
+    # Indices are drawn as int64 (the dtype fixes the stream) but kept small,
+    # draw-major: idx[j, i, r, q] is draw j of resample r of coordinate i's pilot q.
+    idx = np.empty((b, k, reps, n_pilots), dtype=np.min_scalar_type(b - 1))
     for i in range(k):
         u[i] = rng.uniform(1.0 - cfg.pilot_spread, 1.0 + cfg.pilot_spread, size=n_pilots)
-        idx[i] = rng.integers(0, b, size=(reps, n_pilots, b))
+        idx[:, i] = rng.integers(0, b, size=(reps, n_pilots, b)).transpose(2, 0, 1)
     # The pilot scale shrinks like n^(-1/10), as in sample_pilot_perturbations.
     pilots = (bases * float(n) ** -0.1)[:, None] * u                # (k, R)
 
@@ -242,13 +269,14 @@ def _cor_cfd_block(oracle: NoisyOracle, p: np.ndarray, coords: np.ndarray,
     slope = np.where(fit, cross / denom, 0.0)
     intercept = y_mean[:, 0] - slope * z_mean[:, 0]
 
-    # Slope over `reps` within-pilot resamples, one coordinate at a time.
-    slopes = np.zeros((k, reps))
-    rows = np.arange(n_pilots)[None, :, None]
-    for i in np.flatnonzero(fit):
-        boot_means = quotients[i][rows, idx[i]].mean(axis=2)            # (reps, R)
-        centered = boot_means - boot_means.mean(axis=1, keepdims=True)
-        slopes[i] = centered @ zc[i] / denom[i]
+    # Slope over `reps` within-pilot resamples, the whole block at once, one
+    # take per draw (one take of all would hold a full intp copy of `flat`).
+    starts = np.arange(0, k * n, b, dtype=np.min_scalar_type(k * n - 1))
+    flat = idx + starts.reshape(k, 1, n_pilots)                     # quotients.flat
+    boot_means = _pairwise_sum(lambda j: np.take(quotients, flat[j]), range(b)) / b
+    centered = boot_means - boot_means.mean(axis=2, keepdims=True)
+    slopes = (centered @ zc[:, :, None])[:, :, 0] / denom[:, None]
+    slopes[~fit] = 0.0
     slope_iqr = _quartile_spread(slopes)
 
     mu3_hat = 6.0 * slope

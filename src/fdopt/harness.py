@@ -220,12 +220,17 @@ def _replication_gaps(config: ExperimentConfig, algorithm: str, sigma_index: int
 
 
 def _pool_map(workers: int, fn, tasks):
-    """Apply ``fn`` over argument tuples, preserving task order."""
+    """Apply ``fn`` over argument tuples, preserving task order. The first
+    failure in task order is raised at once and unstarted tasks are cancelled."""
     if workers <= 1:
         return [fn(*t) for t in tasks]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(fn, *t) for t in tasks]
-        return [f.result() for f in futures]
+        try:
+            return [f.result() for f in futures]
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
 
 
 def run_replications(config: ExperimentConfig, algorithm: str) -> list[ReplicationResult]:

@@ -5,8 +5,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from fdopt import estimators
 from fdopt.estimators import (CfdConfig, CorCfdConfig, DegenerateInputError,
-                              GradientEstimate, _quartile_spread, cfd_batch, cfd_pair,
+                              GradientEstimate, _pairwise_sum, _quartile_spread,
+                              cfd_batch, cfd_pair,
                               cor_cfd_coordinate, cor_cfd_gradient, optimal_c,
                               sample_pilot_perturbations)
 from fdopt.oracle import NoisyOracle, get_test_function
@@ -369,10 +371,13 @@ def _cor_cfd_reference(oracle, x, cfg, rng, base_perturbations=None):
 
 
 # (d, R, n): at the default 200 bootstrap resamples a block holds
-# 2**17 // (200 n) coordinates, so these give 1, 1, 2, 1, 4, 1, 2 and 5 blocks.
+# max(1, 2**15 // (200 n)) coordinates, so these give 1, 1, 2, 1, 2, 2, 1, 8,
+# 4, 8, 22 and 5 blocks. b = n / R is 8 and 9 at n = 80 and 90, where numpy's sum
+# switches to 8 lanes, and 200 at (2, 2, 400), where it splits in halves.
 @pytest.mark.parametrize("d, R, n", [(1, 10, 20), (2, 10, 20), (2, 10, 400),
+                                     (2, 10, 80), (2, 10, 90), (2, 2, 400),
                                      (8, 5, 20), (8, 10, 220), (64, 5, 10),
-                                     (64, 10, 20), (64, 10, 50)])
+                                     (64, 10, 20), (64, 10, 50), (64, 4, 12)])
 @pytest.mark.parametrize("sigma", [0.0, 1.5])
 @pytest.mark.parametrize("adapted", [False, True])
 def test_gradient_blocks_match_coordinate_loop_bit_for_bit(d, R, n, sigma, adapted):
@@ -394,6 +399,25 @@ def test_gradient_blocks_match_coordinate_loop_bit_for_bit(d, R, n, sigma, adapt
         assert o.eval_counter == o_ref.eval_counter == 2 * d * n
         assert rng.bit_generator.state == rng_ref.bit_generator.state
         assert o._rng.bit_generator.state == o_ref._rng.bit_generator.state
+
+
+@pytest.mark.parametrize("cap", [1, 2 ** 20])
+def test_gradient_does_not_depend_on_block_size(cap, monkeypatch):
+    fn = get_test_function("fn213", 8)
+    cfg = CorCfdConfig(pilot_count=10, batch_pairs=40)
+    x = np.linspace(-1.0, 2.0, 8)
+
+    def run():
+        o, rng = fn.make_oracle(1.5, seed=6), np.random.default_rng(7)
+        est = cor_cfd_gradient(o, x, cfg, rng)
+        return est, o._rng.bit_generator.state, rng.bit_generator.state
+
+    default = run()
+    monkeypatch.setattr(estimators, "_BLOCK_INDICES", cap)  # 8 blocks or 1, not 2
+    patched = run()
+    for field in ("g", "c_hat", "sigma2_hat", "mu3_hat", "intercept", "mu3_iqr"):
+        assert np.array_equal(getattr(patched[0], field), getattr(default[0], field)), field
+    assert patched[1:] == default[1:]
 
 
 @pytest.mark.parametrize("n", [200, 400])
@@ -439,3 +463,19 @@ def test_quartile_spread_equals_numpy_percentile(m):
         got = _quartile_spread(samples)
     assert np.array_equal(got, expected, equal_nan=True)
     assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+
+def test_pairwise_sum_equals_numpy_add_reduce():
+    rng = np.random.default_rng(11)
+    for b in [*range(1, 301), 511, 1290]:
+        rows = [rng.normal(size=b),
+                rng.normal(size=b) * 10.0 ** rng.integers(-300, 300, size=b),  # wide exponents
+                np.full(b, -0.0), rng.choice([0.0, -0.0], size=b)]
+        for special in (np.inf, -np.inf, np.nan):
+            rows.append(rng.normal(size=b))
+            rows[-1][rng.integers(b)] = special
+        terms = np.array(rows)
+        expected = np.add.reduce(terms, axis=-1)
+        got = _pairwise_sum(lambda j: terms[:, j].copy(), range(b))
+        assert np.array_equal(got, expected, equal_nan=True), b
+        assert np.array_equal(np.signbit(got), np.signbit(expected)), b

@@ -1,11 +1,14 @@
 """Tests for replication orchestration, seeding, and config parsing."""
 
+import multiprocessing
 import textwrap
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from fdopt import harness
 from fdopt.harness import (ExperimentConfig, GridSpec, apply_profile,
                            grid_search_spsa, load_config, replication_seed,
                            run_replications)
@@ -48,6 +51,28 @@ def test_worker_count_does_not_change_results():
     assert serial[0].rmse_solution_gap == parallel[0].rmse_solution_gap
     assert serial[0].rmse_optimality_gap == parallel[0].rmse_optimality_gap
     assert serial[0].oscillation_percentiles == parallel[0].oscillation_percentiles
+
+
+def _fail_first_replication(config, algorithm, sigma_index, rep):
+    if rep == 0:
+        raise RuntimeError(f"replication {sigma_index}/{rep} failed")
+    time.sleep(0.2)
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the patched function reaches pool workers only by fork")
+def test_pooled_bench_stops_at_first_failure(monkeypatch):
+    # lowdim-table's layout: 75 tasks on 2 workers. Waiting for the 74 that
+    # sleep would take about 7.4 s; cancelling them leaves at most the few
+    # the pool has already handed out.
+    monkeypatch.setattr(harness, "_replication_gaps", _fail_first_replication)
+    config = _small_config(noise_levels=(0.1, 1.0, 10.0), replications=25)
+    with pytest.raises(RuntimeError, match="replication 0/0 failed"):
+        run_replications(config, "kw")  # the error a 1-worker run raises
+    start = time.perf_counter()
+    with pytest.raises(RuntimeError, match="replication 0/0 failed"):
+        run_replications(replace(config, workers=2), "kw")
+    assert time.perf_counter() - start < 2.5
 
 
 def test_replication_seed_disjoint_streams():
