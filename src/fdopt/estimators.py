@@ -201,7 +201,7 @@ def _pairwise_sum(term, js: range) -> np.ndarray:
         rest = js[n - n % 8:]
     for j in rest:
         total += term(j)
-    total += 0.0  # numpy's +0.0 start (added to every part, it changes no more)
+    total += 0.0  # numpy's +0.0 start: it only turns -0.0 into +0.0, so any part may add it
     return total
 
 
@@ -272,7 +272,7 @@ def _cor_cfd_block(oracle: NoisyOracle, p: np.ndarray, coords: np.ndarray,
     # Slope over `reps` within-pilot resamples, the whole block at once, one
     # take per draw (one take of all would hold a full intp copy of `flat`).
     starts = np.arange(0, k * n, b, dtype=np.min_scalar_type(k * n - 1))
-    flat = idx + starts.reshape(k, 1, n_pilots)                     # quotients.flat
+    flat = idx + starts.reshape(k, 1, n_pilots)         # indices into quotients.flat
     boot_means = _pairwise_sum(lambda j: np.take(quotients, flat[j]), range(b)) / b
     centered = boot_means - boot_means.mean(axis=2, keepdims=True)
     slopes = (centered @ zc[:, :, None])[:, :, 0] / denom[:, None]

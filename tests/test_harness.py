@@ -62,8 +62,8 @@ def _fail_first_replication(config, algorithm, sigma_index, rep):
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                     reason="the patched function reaches pool workers only by fork")
 def test_pooled_bench_stops_at_first_failure(monkeypatch):
-    # lowdim-table's layout: 75 tasks on 2 workers. Waiting for the 74 that
-    # sleep would take about 7.4 s; cancelling them leaves at most the few
+    # lowdim-table's layout: 75 tasks on 2 workers. Waiting for the 72 that
+    # sleep would take about 7.2 s; cancelling them leaves at most the few
     # the pool has already handed out.
     monkeypatch.setattr(harness, "_replication_gaps", _fail_first_replication)
     config = _small_config(noise_levels=(0.1, 1.0, 10.0), replications=25)
