@@ -244,13 +244,17 @@ def _cor_cfd_block(oracle: NoisyOracle, p: np.ndarray, coords: np.ndarray,
 
     points = np.empty((k, n_pilots, 2, d))
     points[...] = p
-    points[np.arange(k), :, 0, coords] += pilots
-    points[np.arange(k), :, 1, coords] -= pilots
+    points[np.arange(k), :, :, coords] += pilots[:, :, None] * np.array([1.0, -1.0])
     y = oracle.evaluate_batch(points.reshape(-1, d), 2 * k * n).reshape(k, n_pilots, 2, b)
     quotients = (y[:, :, 0] - y[:, :, 1]) / (2.0 * pilots[:, :, None])  # (k, R, b)
 
+    # Means and variances take numpy's own ufunc steps, without its wrappers.
+    add = np.add.reduce
+    y_bar = add(quotients, 2) / b                                  # pilot means
+    dev = quotients - y_bar[:, :, None]
     # Var[quotient] = sigma^2 / (2 c^2), inverted per pilot and averaged.
-    sigma2_hat = np.mean(2.0 * pilots ** 2 * quotients.var(axis=2, ddof=1), axis=1)
+    var = add(np.square(dev, out=dev), 2) / (b - 1)
+    sigma2_hat = add(2.0 * pilots ** 2 * var, 1) / n_pilots
 
     # OLS of the pilot means on z = c^2. With equal pilots (z - mean(z) may
     # still be rounding noise) the fit is rank-deficient: the slope and its
@@ -258,12 +262,12 @@ def _cor_cfd_block(oracle: NoisyOracle, p: np.ndarray, coords: np.ndarray,
     # bootstrap indices are drawn in either case, so rng's stream does not
     # depend on the pilot spread.
     z = pilots ** 2
-    z_mean = z.mean(axis=1, keepdims=True)
-    y_bar = quotients.mean(axis=2)
-    y_mean = y_bar.mean(axis=1, keepdims=True)
+    z_mean = add(z, 1, keepdims=True) / n_pilots
+    y_mean = add(y_bar, 1, keepdims=True) / n_pilots
     zc = z - z_mean
     denom = (zc[:, None, :] @ zc[:, :, None])[:, 0, 0]
-    fit = pilots.max(axis=1) > pilots.min(axis=1)
+    low, high = np.minimum.reduce(pilots, 1), np.maximum.reduce(pilots, 1)
+    fit = high > low
     denom[~fit] = 1.0
     cross = (zc[:, None, :] @ (y_bar - y_mean)[:, :, None])[:, 0, 0]
     slope = np.where(fit, cross / denom, 0.0)
@@ -273,8 +277,8 @@ def _cor_cfd_block(oracle: NoisyOracle, p: np.ndarray, coords: np.ndarray,
     # take per draw (one take of all would hold a full intp copy of `flat`).
     starts = np.arange(0, k * n, b, dtype=np.min_scalar_type(k * n - 1))
     flat = idx + starts.reshape(k, 1, n_pilots)         # indices into quotients.flat
-    boot_means = _pairwise_sum(lambda j: np.take(quotients, flat[j]), range(b)) / b
-    centered = boot_means - boot_means.mean(axis=2, keepdims=True)
+    boot_means = _pairwise_sum(lambda j: quotients.take(flat[j]), range(b)) / b
+    centered = boot_means - add(boot_means, 2, keepdims=True) / n_pilots
     slopes = (centered @ zc[:, :, None])[:, :, 0] / denom[:, None]
     slopes[~fit] = 0.0
     slope_iqr = _quartile_spread(slopes)
@@ -282,11 +286,10 @@ def _cor_cfd_block(oracle: NoisyOracle, p: np.ndarray, coords: np.ndarray,
     mu3_hat = 6.0 * slope
     unstable = slope_iqr > _BOOTSTRAP_GUARD * np.abs(slope)
     fallback = (sigma2_hat <= 0.0) | (np.abs(mu3_hat) < _MU3_FLOOR) | unstable
-    c_hat = np.exp(np.log(pilots).mean(axis=1))
+    c_hat = np.exp(add(np.log(pilots), 1) / n_pilots)
     for i in np.flatnonzero(~fallback):
         c_hat[i] = optimal_c(float(sigma2_hat[i]), float(mu3_hat[i]), n)
-    c_hat = np.minimum(np.maximum(c_hat, pilots.min(axis=1) / 10.0),
-                       10.0 * pilots.max(axis=1))
+    c_hat = np.minimum(np.maximum(c_hat, low / 10.0), 10.0 * high)
 
     # Recycle every quotient: match the regression mean at c_hat and rescale
     # the noise from sigma/(sqrt(2) c_r) to sigma/(sqrt(2) c_hat).
@@ -296,7 +299,7 @@ def _cor_cfd_block(oracle: NoisyOracle, p: np.ndarray, coords: np.ndarray,
     target_mean = intercept + slope * np.array([c ** 2 for c in c_hat.tolist()])
     recycled = (target_mean[:, None, None] + (pilots / c_hat[:, None])[:, :, None]
                 * (quotients - fitted[:, :, None]))
-    estimate = recycled.reshape(k, -1).mean(axis=1)
+    estimate = add(recycled.reshape(k, -1), 1) / n
 
     return np.array([estimate, c_hat, sigma2_hat, mu3_hat, intercept, 6.0 * slope_iqr])
 
@@ -337,7 +340,7 @@ def cor_cfd_gradient(oracle: NoisyOracle, x, cfg: CorCfdConfig,
         bases = np.full(d, cfg.base_perturbation)
     else:
         bases = np.asarray(base_perturbations, dtype=float)
-        if bases.shape != (d,) or not np.all((bases > 0.0) & (bases < np.inf)):
+        if bases.shape != (d,) or not ((bases > 0.0) & (bases < np.inf)).all():
             raise ValueError(f"base_perturbations must be {d} finite values > 0, "
                              f"got {bases.tolist()!r}")
     width = max(1, _BLOCK_INDICES // (cfg.bootstrap_reps * cfg.batch_pairs))

@@ -17,7 +17,7 @@ import numpy as np
 from . import metrics
 from .estimators import CorCfdConfig
 from .optimizers import (ArmijoParams, ConfigurationError, GainSchedule,
-                         cor_cfd_gd_run, kw_run, spsa_run)
+                         check_corcfd_budget, cor_cfd_gd_run, kw_run, spsa_run)
 from .oracle import BoxDomain, get_test_function
 
 ALGORITHMS = ("kw", "spsa", "corcfd")
@@ -122,6 +122,8 @@ class ExperimentConfig:
         if fn.dimension != 1 and "kw" in (self.algorithm, *self.algorithms):
             raise ConfigurationError(
                 f"kw needs a one-dimensional function, not dimension {fn.dimension}")
+        if "corcfd" in (self.algorithm, *self.algorithms):
+            check_corcfd_budget(fn.dimension, self.corcfd, self.largest_budget)
 
     @property
     def budget_multiplier(self) -> int:

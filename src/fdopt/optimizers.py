@@ -102,7 +102,7 @@ def armijo_search(oracle: NoisyOracle, x, g: GradientEstimate,
     out, the smallest trial step is returned with ``accepted=False``.
     """
     p = as_point(x, oracle.dimension)
-    g_vec, relax = g.g, 2.0 * float(np.mean(g.sigma2_hat))
+    g_vec, relax = g.g, 2.0 * float(np.add.reduce(g.sigma2_hat) / len(g.sigma2_hat))
     gg = float(g_vec @ g_vec)
     baseline = oracle.evaluate(p)
     n_ls = 1
@@ -114,6 +114,14 @@ def armijo_search(oracle: NoisyOracle, x, g: GradientEstimate,
             return a, n_ls, True
         a *= params.l2
     return a / params.l2, n_ls, False
+
+
+def check_corcfd_budget(dimension: int, cfg: CorCfdConfig, budget_pairs: int) -> None:
+    """Reject a budget that cannot fund Cor-CFD-GD's first gradient and one trial."""
+    if 2 * dimension * cfg.batch_pairs + 2 > 2 * budget_pairs:
+        raise ConfigurationError(
+            f"budget of {budget_pairs} pairs cannot fund the initial gradient "
+            f"({dimension * cfg.batch_pairs} pairs) and one line-search trial")
 
 
 def batch_schedule(n0: int, R: int, k: int) -> int:
@@ -136,7 +144,7 @@ def kw_run(oracle: NoisyOracle, domain: BoxDomain, x0: float,
 
     ``x_{k+1} = project(x_k - a_k g_k)`` with ``a_k = a/(A+k)`` and
     ``c_k = c/k^(1/4)``, iterating from ``k=1`` until ``2 * budget_pairs``
-    evaluations are consumed.
+    evaluations are consumed; ``RuntimeError`` if the oracle counted any other number.
     """
     if oracle.dimension != 1:
         raise ValueError("kw_run requires a one-dimensional oracle")
@@ -146,20 +154,19 @@ def kw_run(oracle: NoisyOracle, domain: BoxDomain, x0: float,
     upper = float(domain.upper[0])
     x = min(max(float(x0), lower), upper)
     a, c, A = schedule.a, schedule.c, schedule.stability(budget_pairs)
+    evaluate = oracle.evaluate
     start = oracle.eval_counter
-    xs = np.empty(budget_pairs + 1)
-    evaluations = np.zeros(budget_pairs + 1, dtype=int)
-    xs[0] = x
-    for k in range(1, budget_pairs + 1):  # every step charges exactly one pair
+    xs = [x]
+    for k in range(1, budget_pairs + 1):  # step k is stamped 2k evaluations
         a_k = a / (A + k) ** 1.0
         c_k = c / k ** 0.25
-        y_plus = oracle.evaluate((x + c_k,))
-        y_minus = oracle.evaluate((x - c_k,))
-        g = (y_plus - y_minus) / (2.0 * c_k)
+        g = (evaluate((x + c_k,)) - evaluate((x - c_k,))) / (2.0 * c_k)
         x = min(max(x - a_k * g, lower), upper)
-        xs[k] = x
-        evaluations[k] = oracle.eval_counter - start
-    return Trajectory(xs[:, None], evaluations)
+        xs.append(x)
+    if oracle.eval_counter - start != 2 * budget_pairs:  # the oracle keeps the count
+        raise RuntimeError(f"oracle charged {oracle.eval_counter - start} evaluations "
+                           f"for {budget_pairs} pairs")
+    return Trajectory(np.array(xs)[:, None], np.arange(0, 2 * budget_pairs + 1, 2))
 
 
 def spsa_run(oracle: NoisyOracle, domain: BoxDomain, x0, schedule: GainSchedule,
@@ -233,10 +240,7 @@ def cor_cfd_gd_run(oracle: NoisyOracle, domain: BoxDomain, x0, cfg: CorCfdConfig
     d = oracle.dimension
     n0, R = cfg.batch_pairs, cfg.pilot_count
     cap = 2 * budget_pairs
-    if 2 * d * n0 + 2 > cap:
-        raise ConfigurationError(
-            f"budget of {budget_pairs} pairs cannot fund the initial gradient "
-            f"({d * n0} pairs) and one line-search trial")
+    check_corcfd_budget(d, cfg, budget_pairs)
     x = domain.project(as_point(x0, d))
     start = oracle.eval_counter
     xs, evaluations = [x], [0]
@@ -256,7 +260,7 @@ def cor_cfd_gd_run(oracle: NoisyOracle, domain: BoxDomain, x0, cfg: CorCfdConfig
     g = cor_cfd_gradient(oracle, x, cfg, rng)
     centers = next_centers(g, centers, n0)
 
-    k = 0
+    k, batch_cfg = 0, cfg
     while True:
         left = cap - (oracle.eval_counter - start)  # at least 2 here
         cut = left < 1 + armijo.max_backtracks
@@ -276,7 +280,8 @@ def cor_cfd_gd_run(oracle: NoisyOracle, domain: BoxDomain, x0, cfg: CorCfdConfig
         # Feed the adapted centers through the pilot base scale so pilots at
         # batch n_k come out as center * U(1 +- spread).
         base = centers * float(n_k) ** 0.1
-        g = cor_cfd_gradient(oracle, x, replace(cfg, batch_pairs=n_k), rng,
-                             base_perturbations=base)
+        if n_k != batch_cfg.batch_pairs:  # once every R iterations
+            batch_cfg = replace(cfg, batch_pairs=n_k)
+        g = cor_cfd_gradient(oracle, x, batch_cfg, rng, base_perturbations=base)
         centers = next_centers(g, centers, n_k)
     return Trajectory(np.stack(xs), np.array(evaluations), ls_exhausted)

@@ -30,7 +30,7 @@ def as_point(x, dimension: int | None = None) -> np.ndarray:
         raise ValueError(f"a point must be a 1-d vector, got shape {p.shape}")
     if dimension is not None and p.shape[0] != dimension:
         raise ValueError(f"dimension mismatch: expected {dimension}, got {p.shape[0]}")
-    if not np.all(np.isfinite(p)):
+    if not np.isfinite(p).all():
         raise ValueError("point has non-finite coordinates")
     return p
 
@@ -64,7 +64,7 @@ class BoxDomain:
     def project(self, x) -> np.ndarray:
         """Componentwise clamp into the box. Idempotent; bounds are hit exactly."""
         p = as_point(x, self.dimension)
-        return np.clip(p, self.lower, self.upper)
+        return np.minimum(np.maximum(p, self.lower), self.upper)
 
 
 def _reject_non_finite(value, x):
