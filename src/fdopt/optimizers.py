@@ -156,17 +156,17 @@ def kw_run(oracle: NoisyOracle, domain: BoxDomain, x0: float,
     a, c, A = schedule.a, schedule.c, schedule.stability(budget_pairs)
     evaluate = oracle.evaluate
     start = oracle.eval_counter
-    xs = [x]
+    xs = np.full(budget_pairs + 1, x)
     for k in range(1, budget_pairs + 1):  # step k is stamped 2k evaluations
         a_k = a / (A + k) ** 1.0
         c_k = c / k ** 0.25
         g = (evaluate((x + c_k,)) - evaluate((x - c_k,))) / (2.0 * c_k)
         x = min(max(x - a_k * g, lower), upper)
-        xs.append(x)
+        xs[k] = x
     if oracle.eval_counter - start != 2 * budget_pairs:  # the oracle keeps the count
         raise RuntimeError(f"oracle charged {oracle.eval_counter - start} evaluations "
                            f"for {budget_pairs} pairs")
-    return Trajectory(np.array(xs)[:, None], np.arange(0, 2 * budget_pairs + 1, 2))
+    return Trajectory(xs[:, None], np.arange(0, 2 * budget_pairs + 1, 2))
 
 
 def spsa_run(oracle: NoisyOracle, domain: BoxDomain, x0, schedule: GainSchedule,

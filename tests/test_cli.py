@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fdopt import cli
+from fdopt import cli, harness
 from fdopt.cli import main
 
 QUARTIC_CFG = textwrap.dedent("""
@@ -308,6 +308,23 @@ def test_bench_kw_beyond_one_dimension_exits_2(tmp_path, capsys):
     assert main(["bench", "--config", str(path), "--out", str(out)]) == 2
     assert "kw needs a one-dimensional function, not dimension 8" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("checkpoints, profile", [("5 10", "full"), ("50 100", "desk")])
+def test_bench_corcfd_budget_too_small_exits_2(tmp_path, capsys, monkeypatch,
+                                               checkpoints, profile):
+    # rejected while the config loads, not after the KW cells have run
+    kw_calls = []
+    monkeypatch.setattr(harness, "kw_run", lambda *a: kw_calls.append(a))
+    path = tmp_path / "small.cfg"
+    path.write_text(QUARTIC_CFG.replace("checkpoints = 20 50", f"checkpoints = {checkpoints}"))
+    out = tmp_path / "b"
+    argv = ["bench", "--config", str(path), "--out", str(out), "--profile", profile]
+    assert main(argv) == 2
+    assert ("budget of 10 pairs cannot fund the initial gradient (20 pairs) and one "
+            "line-search trial") in capsys.readouterr().err
+    assert not out.exists()
+    assert kw_calls == []
 
 
 # Cor-CFD-GD in 8 dimensions: the run takes every branch of the pilot-center

@@ -372,12 +372,16 @@ def _cor_cfd_reference(oracle, x, cfg, rng, base_perturbations=None):
 
 # (d, R, n): at the default 200 bootstrap resamples a block holds
 # max(1, 2**15 // (200 n)) coordinates, so these give 1, 1, 2, 1, 2, 2, 1, 8,
-# 4, 8, 22 and 5 blocks. b = n / R is 8 and 9 at n = 80 and 90, where numpy's sum
-# switches to 8 lanes, and 200 at (2, 2, 400), where it splits in halves.
+# 4, 8, 22, 5, 1, 1, 1 and 1 blocks. b = n / R is 8 and 9 at n = 80 and 90,
+# where numpy's sum switches to 8 lanes, and 200 at (2, 2, 400), where it
+# splits in halves. The 1-d layouts are those of the 1-d quartic table, with
+# b = 2, 7, 8, 9 and 14 across the 8-lane switch.
 @pytest.mark.parametrize("d, R, n", [(1, 10, 20), (2, 10, 20), (2, 10, 400),
                                      (2, 10, 80), (2, 10, 90), (2, 2, 400),
                                      (8, 5, 20), (8, 10, 220), (64, 5, 10),
-                                     (64, 10, 20), (64, 10, 50), (64, 4, 12)])
+                                     (64, 10, 20), (64, 10, 50), (64, 4, 12),
+                                     (1, 10, 70), (1, 10, 80), (1, 10, 90),
+                                     (1, 10, 140)])
 @pytest.mark.parametrize("sigma", [0.0, 1.5])
 @pytest.mark.parametrize("adapted", [False, True])
 def test_gradient_blocks_match_coordinate_loop_bit_for_bit(d, R, n, sigma, adapted):

@@ -132,6 +132,23 @@ def test_config_validation_errors():
     _small_config(**fn213, algorithm="spsa", algorithms=("spsa", "corcfd"))
 
 
+def test_config_rejects_a_budget_below_the_first_corcfd_gradient():
+    # Cor-CFD-GD needs 2 d n0 + 2 evaluations: its first gradient, then a
+    # line-search baseline and one trial. At n0 = 20 in 1-d that is 21 pairs.
+    for listed in (dict(algorithm="corcfd"), dict(algorithms=("kw", "corcfd"))):
+        with pytest.raises(ConfigurationError, match=r"budget of 20 pairs cannot fund "
+                           r"the initial gradient \(20 pairs\)"):
+            _small_config(checkpoints=(10, 20), **listed)
+        _small_config(checkpoints=(10, 21), **listed)
+    _small_config(checkpoints=(5, 10), algorithm="kw", algorithms=("kw", "spsa"))
+    # fn213 budgets are listed per dimension: 20 * 4 = 80 pairs < 4 * 20 + 1
+    fn213 = dict(function="fn213", dimension=4, x0=np.tile([3.0, 1.0], 2),
+                 domain=BoxDomain.interval(-50, 50, 4), algorithm="corcfd")
+    with pytest.raises(ConfigurationError, match="budget of 80 pairs"):
+        _small_config(**fn213, checkpoints=(20,))
+    _small_config(**fn213, checkpoints=(21,))
+
+
 @pytest.mark.parametrize("sigma", [-1.0, float("nan"), float("inf")])
 def test_config_rejects_negative_or_non_finite_noise_levels(sigma):
     with pytest.raises(ConfigurationError, match=f"noise level {sigma!r}"):

@@ -172,6 +172,51 @@ def test_kw_non_finite_objective_raises_at_oracle():
         kw_run(o, DOMAIN, 1.5, GainSchedule(0.1, 1.0), 100)
 
 
+def _kw_reference(oracle, domain, x0, schedule, budget_pairs):
+    """The per-step KW loop, one projection and one counter read per step."""
+    x = domain.project(as_point(x0, 1))
+    A = schedule.stability(budget_pairs)
+    start = oracle.eval_counter
+    xs, evaluations = [x], [0]
+    for k in range(1, budget_pairs + 1):
+        a_k = schedule.a / (A + k) ** 1.0
+        c_k = schedule.c / k ** 0.25
+        y_plus = oracle.evaluate(x + c_k)
+        y_minus = oracle.evaluate(x - c_k)
+        x = domain.project(x - a_k * ((y_plus - y_minus) / (2.0 * c_k)))
+        xs.append(x)
+        evaluations.append(oracle.eval_counter - start)
+    return Trajectory(np.stack(xs), np.array(evaluations))
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1.0])
+@pytest.mark.parametrize("name", ["quartic", "cos100"])
+def test_kw_matches_per_step_reference_bit_for_bit(name, sigma):
+    # 300 pairs draw 600 normals, across the oracle's blocks of 128; on the
+    # quartic, a = c = 1 from x0 = 30 clamps at both bounds.
+    fn = get_test_function(name)
+    o, o_ref = fn.make_oracle(sigma, seed=11), fn.make_oracle(sigma, seed=11)
+    traj = kw_run(o, DOMAIN, 30.0, GainSchedule(1.0, 1.0), 300)
+    ref = _kw_reference(o_ref, DOMAIN, 30.0, GainSchedule(1.0, 1.0), 300)
+    assert np.array_equal(traj.iterates, ref.iterates)
+    assert np.array_equal(traj.evaluations, ref.evaluations)
+    assert traj.evaluations.dtype == ref.evaluations.dtype
+    assert o.eval_counter == o_ref.eval_counter == 600
+    assert o._rng.bit_generator.state == o_ref._rng.bit_generator.state
+
+
+class _DoubleChargingOracle(NoisyOracle):
+    def evaluate(self, x):
+        self._count += 1
+        return super().evaluate(x)
+
+
+def test_kw_rejects_an_oracle_count_other_than_two_per_pair():
+    o = _DoubleChargingOracle(lambda x: float(x[0]) ** 2, 1)
+    with pytest.raises(RuntimeError, match="oracle charged 40 evaluations for 10 pairs"):
+        kw_run(o, DOMAIN, 5.0, GainSchedule(0.1, 1.0), 10)
+
+
 # ---------------------------------------------------------------------------
 # spsa_run
 # ---------------------------------------------------------------------------

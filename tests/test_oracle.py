@@ -89,6 +89,24 @@ def test_projection_moves_iff_outside():
     assert np.linalg.norm(dom.project([60.0]) - 60.0) > 0.0
 
 
+def test_projection_equals_numpy_clip_bit_for_bit():
+    # signed zeros on both sides of a zero bound, points outside the box and
+    # points on a bound; one box per case and one box holding every case
+    bounds = [(-0.0, 1.0), (0.0, 1.0), (-1.0, -0.0), (-1.0, 0.0), (-2.5, 7.25)]
+    lower, upper, points = [], [], []
+    for lo, hi in bounds:
+        for x in (-0.0, 0.0, lo, hi, lo - 1.0, hi + 1.0, 0.5 * (lo + hi), -1e300, 1e300):
+            lower.append(lo)
+            upper.append(hi)
+            points.append(x)
+    cases = [(np.array([lo]), np.array([hi]), np.array([x]))
+             for lo, hi, x in zip(lower, upper, points)]
+    cases.append((np.array(lower), np.array(upper), np.array(points)))
+    for lo, hi, x in cases:
+        got = BoxDomain(lo, hi).project(x)
+        assert np.array_equal(got.view(np.uint64), np.clip(x, lo, hi).view(np.uint64))
+
+
 def test_domain_validation():
     with pytest.raises(ValueError):
         BoxDomain(np.array([1.0]), np.array([1.0]))
