@@ -9,7 +9,6 @@ from sectioned key/value text files (one section per algorithm block).
 from __future__ import annotations
 
 import configparser
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -175,10 +174,11 @@ def replication_seed(master_seed: int, algorithm: str, sigma_index: int,
 
 
 def run_trajectory(config: ExperimentConfig, algorithm: str, sigma_index: int,
-                   rep: int):
+                   rep: int, keep=None):
     """One seeded run of ``algorithm`` to the largest budget; returns ``(fn, traj)``.
 
     This is the only place that maps an algorithm name to its optimizer loop.
+    ``keep`` goes to :func:`spsa_run` alone; the other runners keep every iterate.
     """
     fn = get_test_function(config.function, config.dimension)
     oracle_seed, algo_seed = replication_seed(
@@ -191,7 +191,7 @@ def run_trajectory(config: ExperimentConfig, algorithm: str, sigma_index: int,
     if algorithm == "kw":
         traj = kw_run(oracle, config.domain, float(config.x0[0]), config.kw, budget)
     elif algorithm == "spsa":
-        traj = spsa_run(oracle, config.domain, config.x0, config.spsa, budget, rng)
+        traj = spsa_run(oracle, config.domain, config.x0, config.spsa, budget, rng, keep)
     elif algorithm == "corcfd":
         traj = cor_cfd_gd_run(oracle, config.domain, config.x0, config.corcfd,
                               config.armijo, budget, rng)
@@ -207,7 +207,9 @@ def _replication_gaps(config: ExperimentConfig, algorithm: str, sigma_index: int
     Returns ``(solution_gaps, optimality_gaps, settle_index)`` where the
     settle index is the boundary-oscillation statistic (1-d runs only).
     """
-    fn, traj = run_trajectory(config, algorithm, sigma_index, rep)
+    # Beyond 1-d only the checkpoint iterates are read; the settle index needs them all.
+    keep = config.effective_checkpoints if config.dimension > 1 else None
+    fn, traj = run_trajectory(config, algorithm, sigma_index, rep, keep)
     sol = np.empty(len(config.effective_checkpoints))
     opt = np.empty(len(config.effective_checkpoints))
     for i, pairs in enumerate(config.effective_checkpoints):
@@ -226,6 +228,8 @@ def _pool_map(workers: int, fn, tasks):
     failure in task order is raised at once and unstarted tasks are cancelled."""
     if workers <= 1:
         return [fn(*t) for t in tasks]
+    # Imported here: it loads multiprocessing and logging, which a 1-worker run never uses.
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(fn, *t) for t in tasks]
         try:

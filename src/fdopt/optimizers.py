@@ -46,12 +46,14 @@ class GainSchedule:
 
 @dataclass
 class Trajectory:
-    """Iterates of one optimizer run, each stamped with the evaluation count.
+    """Iterates a run kept, each stamped with the evaluation count.
 
-    ``iterates`` has shape ``(m, d)``: row ``k`` is ``x_k`` and row 0 is the
-    starting point. ``evaluations`` has shape ``(m,)`` and is increasing: entry
-    ``k`` is the number of evaluations the run had used when it produced
-    ``x_k`` (0 for the start). ``ls_exhausted`` lists iteration indices whose
+    ``iterates`` has shape ``(m, d)``: row 0 is the starting point and the
+    other rows are the kept iterates in order (every one unless the run was
+    asked to keep fewer). ``evaluations`` has shape ``(m,)`` and is increasing:
+    entry ``i`` is the number of evaluations the run had used when it produced
+    row ``i`` (0 for the start). :meth:`at_pair_budget` is exact at every
+    budget whose iterate was kept. ``ls_exhausted`` lists iteration indices whose
     Armijo search accepted no trial. The smallest trial step is still taken,
     unless the search was cut short by the evaluation budget: then ``x_k``
     repeats ``x_{k-1}``.
@@ -138,6 +140,13 @@ def batch_schedule(n0: int, R: int, k: int) -> int:
     return ((n0 + k) // R) * R
 
 
+def _check_charged(oracle: NoisyOracle, start: int, budget_pairs: int) -> None:
+    """``RuntimeError`` unless the oracle, the budget count, charged one pair per step."""
+    if oracle.eval_counter - start != 2 * budget_pairs:
+        raise RuntimeError(f"oracle charged {oracle.eval_counter - start} evaluations "
+                           f"for {budget_pairs} pairs")
+
+
 def kw_run(oracle: NoisyOracle, domain: BoxDomain, x0: float,
            schedule: GainSchedule, budget_pairs: int) -> Trajectory:
     """Kiefer-Wolfowitz: one CFD pair per iteration with diminishing gains.
@@ -163,20 +172,23 @@ def kw_run(oracle: NoisyOracle, domain: BoxDomain, x0: float,
         g = (evaluate((x + c_k,)) - evaluate((x - c_k,))) / (2.0 * c_k)
         x = min(max(x - a_k * g, lower), upper)
         xs[k] = x
-    if oracle.eval_counter - start != 2 * budget_pairs:  # the oracle keeps the count
-        raise RuntimeError(f"oracle charged {oracle.eval_counter - start} evaluations "
-                           f"for {budget_pairs} pairs")
+    _check_charged(oracle, start, budget_pairs)
     return Trajectory(xs[:, None], np.arange(0, 2 * budget_pairs + 1, 2))
 
 
 def spsa_run(oracle: NoisyOracle, domain: BoxDomain, x0, schedule: GainSchedule,
-             budget_pairs: int, rng: np.random.Generator) -> Trajectory:
+             budget_pairs: int, rng: np.random.Generator, keep=None) -> Trajectory:
     """SPSA: two evaluations per iteration along a random Bernoulli direction.
 
     Draws ``Delta in {-1,+1}^d``, forms the simultaneous-perturbation quotient
     ``g = (Y(x + c Delta) - Y(x - c Delta)) / (2c) * Delta`` (the elementwise
     reciprocal of a sign vector is itself), and takes a projected step with
-    ``a_k = a/(A+k+1)^0.602``, ``c_k = c/(k+1)^0.101``.
+    ``a_k = a/(A+k+1)^0.602``, ``c_k = c/(k+1)^0.101``. Step ``k`` is stamped
+    ``2k`` evaluations; ``RuntimeError`` if the oracle counted any other number.
+
+    ``keep``, increasing pair budgets in ``[1, budget_pairs]``, limits the
+    trajectory to ``x_0`` and the iterates at those budgets, equal bit for bit
+    to the same rows of a full run; ``None`` keeps every iterate.
 
     Directions are drawn in blocks of up to ``16384 // d`` rows. A block draw
     yields the same stream as one draw per step, so trajectories do not depend
@@ -185,15 +197,21 @@ def spsa_run(oracle: NoisyOracle, domain: BoxDomain, x0, schedule: GainSchedule,
     """
     if budget_pairs < 1:
         raise ValueError("budget must be at least one pair")
+    kept = np.arange(budget_pairs + 1) if keep is None else np.array([0, *keep])
+    if kept.dtype.kind != "i" or (kept[1:] <= kept[:-1]).any() or kept[-1] > budget_pairs:
+        raise ValueError(f"keep={keep!r} must be increasing pair budgets "
+                         f"in [1, {budget_pairs}]")
     d = oracle.dimension
     x = domain.project(as_point(x0, d))
     lower, upper = domain.lower, domain.upper
     a, c, A = schedule.a, schedule.c, schedule.stability(budget_pairs)
     evaluate = oracle.evaluate
     start = oracle.eval_counter
-    xs = np.empty((budget_pairs + 1, d))
-    evaluations = np.zeros(budget_pairs + 1, dtype=int)
+    xs = np.empty((len(kept), d))
     xs[0] = x
+    scratch = np.empty(d)  # the clamp's output at steps that are not kept
+    marks = iter(range(1, budget_pairs + 1) if keep is None else kept[1:].tolist())
+    i, mark = 1, next(marks, 0)  # the next row of xs, and the step it keeps
     rows = max(1, 16384 // d)  # 128 KiB of directions per draw, whatever d is
     k = 0
     while k < budget_pairs:  # every step charges exactly one pair
@@ -207,9 +225,13 @@ def spsa_run(oracle: NoisyOracle, domain: BoxDomain, x0, schedule: GainSchedule,
             step = x - a_k * g
             if not np.isfinite(step).all():
                 raise ValueError("point has non-finite coordinates")
-            x = np.minimum(np.maximum(step, lower, out=step), upper, out=xs[k])
-            evaluations[k] = oracle.eval_counter - start
-    return Trajectory(xs, evaluations)
+            kept_step = k == mark
+            x = np.minimum(np.maximum(step, lower, out=step), upper,
+                           out=xs[i] if kept_step else scratch)
+            if kept_step:
+                i, mark = i + 1, next(marks, 0)
+    _check_charged(oracle, start, budget_pairs)
+    return Trajectory(xs, 2 * kept)
 
 
 def cor_cfd_gd_run(oracle: NoisyOracle, domain: BoxDomain, x0, cfg: CorCfdConfig,

@@ -1,17 +1,22 @@
 """Tests for replication orchestration, seeding, and config parsing."""
 
 import multiprocessing
+import os
+import subprocess
+import sys
 import textwrap
 import time
+import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fdopt import harness
+from fdopt import harness, metrics
 from fdopt.harness import (ExperimentConfig, GridSpec, apply_profile,
                            grid_search_spsa, load_config, replication_seed,
-                           run_replications)
+                           run_replications, run_trajectory)
 from fdopt.optimizers import ConfigurationError, GainSchedule
 from fdopt.oracle import BoxDomain
 
@@ -73,6 +78,56 @@ def test_pooled_bench_stops_at_first_failure(monkeypatch):
     with pytest.raises(RuntimeError, match="replication 0/0 failed"):
         run_replications(replace(config, workers=2), "kw")
     assert time.perf_counter() - start < 2.5
+
+
+def test_a_64d_spsa_replication_holds_only_its_checkpoint_iterates():
+    # fn213-spsa's shape at 16,000 pairs: every iterate would be 16,001 x 64
+    # floats (8.2 MB), while the gaps read 3 of them.
+    d = 64
+    config = _small_config(function="fn213", dimension=d, noise_levels=(1.0,),
+                           x0=np.tile([3.0, 1.0], d // 2),
+                           domain=BoxDomain.interval(-50, 50, d),
+                           checkpoints=(10, 100, 250), replications=1,
+                           spsa=GainSchedule(1e-9, 2.0, None))
+    tracemalloc.start()
+    try:
+        sol, opt, settle = harness._replication_gaps(config, "spsa", 0, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
+    fn, full = run_trajectory(config, "spsa", 0, 0)
+    assert len(full.iterates) == 16_001
+    for i, pairs in enumerate(config.effective_checkpoints):
+        x = full.at_pair_budget(pairs)
+        assert sol[i] == metrics.solution_gap(x, fn.optimum_point)
+        assert opt[i] == metrics.optimality_gap(fn.mean_fn(x), fn.optimum_value)
+    assert settle is None
+
+
+def test_a_1d_replication_settles_on_its_whole_path():
+    # The settle index reads every iterate, so a 1-d SPSA run keeps them all.
+    config = _small_config(checkpoints=(20, 400), replications=1,
+                           spsa=GainSchedule(0.01, 1.0, None))
+    fn, full = run_trajectory(config, "spsa", 0, 0)
+    settle = metrics.oscillation_settle_index(full.iterates[:, 0], -50.0, 50.0)
+    assert settle > len(config.checkpoints)  # more than the checkpoint rows could show
+    assert harness._replication_gaps(config, "spsa", 0, 0)[2] == settle
+
+
+def test_loading_a_config_imports_no_process_pool():
+    # A 1-worker run never starts a pool; its import costs about 20 ms of setup.
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    code = ("import sys, fdopt; fdopt.load_config(sys.argv[1]); "
+            "print('concurrent.futures.process' in sys.modules)")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(root / "perfbench/workloads/lowdim-table.cfg")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_replication_seed_disjoint_streams():

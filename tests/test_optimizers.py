@@ -1,5 +1,7 @@
 """Tests for the KW, SPSA, and Cor-CFD-GD loops and their shared pieces."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -294,9 +296,9 @@ def _run_spsa(runner, d, sigma, budget, schedule=None, mean_fn=_quartic_bowl):
     o = _oracle(mean_fn, d=d, sigma=sigma, seed=d)
     dom = BoxDomain.interval(-2, 2, d)
     schedule = schedule or GainSchedule(0.05, 0.5, A=5)
-    traj = runner(o, dom, np.linspace(-1.5, 1.9, d), schedule, budget,
-                  np.random.default_rng((7, d)))
-    return traj, o.eval_counter
+    rng = np.random.default_rng((7, d))
+    traj = runner(o, dom, np.linspace(-1.5, 1.9, d), schedule, budget, rng)
+    return traj, o, rng
 
 
 @pytest.mark.parametrize("sigma", [0.0, 1.0])
@@ -306,13 +308,50 @@ def test_spsa_matches_per_step_reference_bit_for_bit(d, sigma):
     budgets = (1, rows - 1, rows, rows + 1, 3 * rows + 5)
     # A shorter run is a prefix of a longer one, so one reference run covers
     # every budget.
-    ref, _ = _run_spsa(_spsa_reference, d, sigma, budgets[-1])
+    ref, _, _ = _run_spsa(_spsa_reference, d, sigma, budgets[-1])
     for budget in budgets:
-        traj, count = _run_spsa(spsa_run, d, sigma, budget)
-        assert count == 2 * budget
+        traj, o, _ = _run_spsa(spsa_run, d, sigma, budget)
+        assert o.eval_counter == 2 * budget
         assert traj.iterates.shape == (budget + 1, d)
         assert np.array_equal(traj.iterates, ref.iterates[:budget + 1])
         assert np.array_equal(traj.evaluations, ref.evaluations[:budget + 1])
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1.0])
+@pytest.mark.parametrize("d", [1, 2, 64])
+def test_spsa_kept_rows_equal_the_full_run_bit_for_bit(d, sigma):
+    rows = 16384 // d  # the direction block size of spsa_run
+    keep = (1, rows - 1, rows, rows + 1, 3 * rows + 5)
+    full, o_full, rng_full = _run_spsa(spsa_run, d, sigma, keep[-1])
+    kept, o_kept, rng_kept = _run_spsa(partial(spsa_run, keep=keep), d, sigma, keep[-1])
+    assert np.array_equal(full.evaluations, 2 * np.arange(keep[-1] + 1))
+    assert np.array_equal(kept.iterates, full.iterates[[0, *keep]])
+    assert np.array_equal(kept.evaluations, full.evaluations[[0, *keep]])
+    assert kept.evaluations.dtype == full.evaluations.dtype
+    for pairs in keep:
+        assert np.array_equal(kept.at_pair_budget(pairs), full.at_pair_budget(pairs))
+    assert o_kept.eval_counter == o_full.eval_counter == 2 * keep[-1]
+    assert o_kept._rng.bit_generator.state == o_full._rng.bit_generator.state
+    assert rng_kept.bit_generator.state == rng_full.bit_generator.state
+
+
+@pytest.mark.parametrize("keep", [(5, 5), (7, 3), (0, 5), (41,), (2.5,)])
+def test_spsa_rejects_a_bad_keep_before_any_evaluation(keep):
+    o = _oracle(_quartic_bowl, d=3, sigma=1.0, seed=3)
+    rng = np.random.default_rng(3)
+    states = rng.bit_generator.state, o._rng.bit_generator.state
+    with pytest.raises(ValueError, match=r"must be increasing pair budgets in \[1, 40\]"):
+        spsa_run(o, BoxDomain.interval(-2, 2, 3), np.zeros(3), GainSchedule(0.05, 0.5),
+                 40, rng, keep=keep)
+    assert o.eval_counter == 0
+    assert (rng.bit_generator.state, o._rng.bit_generator.state) == states
+
+
+def test_spsa_rejects_an_oracle_count_other_than_two_per_pair():
+    o = _DoubleChargingOracle(_quartic_bowl, 3)
+    with pytest.raises(RuntimeError, match="oracle charged 40 evaluations for 10 pairs"):
+        spsa_run(o, BoxDomain.interval(-2, 2, 3), np.zeros(3), GainSchedule(0.05, 0.5),
+                 10, np.random.default_rng(0))
 
 
 def test_spsa_non_finite_step_raises_like_reference():
@@ -328,13 +367,14 @@ def test_spsa_non_finite_step_raises_like_reference():
 
 def test_spsa_stored_iterates_share_no_memory():
     x0 = np.array([0.5, -0.5, 1.0])
-    o = _oracle(_quartic_bowl, d=3, sigma=1.0, seed=3)
-    traj = spsa_run(o, BoxDomain.interval(-2, 2, 3), x0, GainSchedule(0.05, 0.5),
-                    40, np.random.default_rng(3))
-    xs = list(traj.iterates) + [x0]
-    for i, a in enumerate(xs):
-        for b in xs[i + 1:]:
-            assert not np.shares_memory(a, b)
+    for keep in (None, (1, 7, 8, 40)):
+        o = _oracle(_quartic_bowl, d=3, sigma=1.0, seed=3)
+        traj = spsa_run(o, BoxDomain.interval(-2, 2, 3), x0, GainSchedule(0.05, 0.5),
+                        40, np.random.default_rng(3), keep=keep)
+        xs = list(traj.iterates) + [x0]
+        for i, a in enumerate(xs):
+            for b in xs[i + 1:]:
+                assert not np.shares_memory(a, b)
 
 
 def test_spsa_non_finite_objective_raises_at_oracle():
@@ -521,7 +561,7 @@ def test_auto_stability_constant_is_a_tenth_of_the_budget(budget):
     def runs(A):
         kw = kw_run(_oracle(lambda x: float(x[0]) ** 4, sigma=1.0, seed=1), DOMAIN,
                     30.0, GainSchedule(0.1, 1.0, A=A), budget)
-        spsa, _ = _run_spsa(spsa_run, 3, 1.0, budget, GainSchedule(0.05, 0.5, A=A))
+        spsa = _run_spsa(spsa_run, 3, 1.0, budget, GainSchedule(0.05, 0.5, A=A))[0]
         return kw, spsa
     for auto, explicit in zip(runs(None), runs(0.1 * budget)):
         assert np.array_equal(auto.iterates, explicit.iterates)
