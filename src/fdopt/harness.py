@@ -118,6 +118,9 @@ class ExperimentConfig:
             raise ConfigurationError("x0 does not match the function dimension")
         if not np.isfinite(self.x0).all():
             raise ConfigurationError("x0 must have finite coordinates")
+        if self.domain.dimension != fn.dimension:
+            raise ConfigurationError(f"domain of dimension {self.domain.dimension} does "
+                                     f"not match the function dimension {fn.dimension}")
         if fn.dimension != 1 and "kw" in (self.algorithm, *self.algorithms):
             raise ConfigurationError(
                 f"kw needs a one-dimensional function, not dimension {fn.dimension}")

@@ -9,6 +9,8 @@ evaluation counter is the only budget count.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -154,6 +156,7 @@ def kw_run(oracle: NoisyOracle, domain: BoxDomain, x0: float,
     ``x_{k+1} = project(x_k - a_k g_k)`` with ``a_k = a/(A+k)`` and
     ``c_k = c/k^(1/4)``, iterating from ``k=1`` until ``2 * budget_pairs``
     evaluations are consumed; ``RuntimeError`` if the oracle counted any other number.
+    A non-finite ``x0`` or step raises ``ValueError``.
     """
     if oracle.dimension != 1:
         raise ValueError("kw_run requires a one-dimensional oracle")
@@ -161,16 +164,19 @@ def kw_run(oracle: NoisyOracle, domain: BoxDomain, x0: float,
         raise ValueError("budget must be at least one pair")
     lower = float(domain.lower[0])
     upper = float(domain.upper[0])
-    x = min(max(float(x0), lower), upper)
+    x = min(max(float(as_point(x0, 1)[0]), lower), upper)
     a, c, A = schedule.a, schedule.c, schedule.stability(budget_pairs)
-    evaluate = oracle.evaluate
+    evaluate, isfinite = oracle.evaluate, math.isfinite
     start = oracle.eval_counter
     xs = np.full(budget_pairs + 1, x)
     for k in range(1, budget_pairs + 1):  # step k is stamped 2k evaluations
         a_k = a / (A + k) ** 1.0
         c_k = c / k ** 0.25
         g = (evaluate((x + c_k,)) - evaluate((x - c_k,))) / (2.0 * c_k)
-        x = min(max(x - a_k * g, lower), upper)
+        step = x - a_k * g
+        if not isfinite(step):  # the clamp would hide an overflow
+            raise ValueError("point has non-finite coordinates")
+        x = min(max(step, lower), upper)
         xs[k] = x
     _check_charged(oracle, start, budget_pairs)
     return Trajectory(xs[:, None], np.arange(0, 2 * budget_pairs + 1, 2))
@@ -204,6 +210,11 @@ def spsa_run(oracle: NoisyOracle, domain: BoxDomain, x0, schedule: GainSchedule,
     d = oracle.dimension
     x = domain.project(as_point(x0, d))
     lower, upper = domain.lower, domain.upper
+    # x stays in the box, so a step x - s * delta with |s| <= limit cannot
+    # overflow; only a larger |s|, NaN or an infinite box needs the full scan.
+    # Rounded down, as float max - |bound| may round up.
+    bound = max(float(np.abs(lower).max()), float(np.abs(upper).max()))
+    limit = math.nextafter(sys.float_info.max - bound, -math.inf)
     a, c, A = schedule.a, schedule.c, schedule.stability(budget_pairs)
     evaluate = oracle.evaluate
     start = oracle.eval_counter
@@ -221,9 +232,10 @@ def spsa_run(oracle: NoisyOracle, domain: BoxDomain, x0, schedule: GainSchedule,
             a_k = a / (A + k + 1) ** 0.602
             c_k = c / (k + 1) ** 0.101
             cd = c_k * delta
-            g = (evaluate(x + cd) - evaluate(x - cd)) / (2.0 * c_k) * delta
-            step = x - a_k * g
-            if not np.isfinite(step).all():
+            # a_k * (q * delta) == (a_k * q) * delta bit for bit: delta is +-1.
+            s = a_k * ((evaluate(x + cd) - evaluate(x - cd)) / (2.0 * c_k))
+            step = x - s * delta
+            if not abs(s) <= limit and not np.isfinite(step).all():
                 raise ValueError("point has non-finite coordinates")
             kept_step = k == mark
             x = np.minimum(np.maximum(step, lower, out=step), upper,

@@ -204,6 +204,15 @@ def test_config_rejects_a_budget_below_the_first_corcfd_gradient():
     _small_config(**fn213, checkpoints=(21,))
 
 
+def test_config_rejects_a_domain_of_another_dimension():
+    with pytest.raises(ConfigurationError, match="domain of dimension 2 does not "
+                       "match the function dimension 1"):
+        _small_config(domain=BoxDomain.interval(-50, 50, 2))
+    with pytest.raises(ConfigurationError, match="domain of dimension 2"):
+        _small_config(function="fn213", dimension=4, x0=np.tile([3.0, 1.0], 2),
+                      domain=BoxDomain.interval(-50, 50, 2), algorithm="spsa")
+
+
 @pytest.mark.parametrize("sigma", [-1.0, float("nan"), float("inf")])
 def test_config_rejects_negative_or_non_finite_noise_levels(sigma):
     with pytest.raises(ConfigurationError, match=f"noise level {sigma!r}"):

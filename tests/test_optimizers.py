@@ -174,6 +174,22 @@ def test_kw_non_finite_objective_raises_at_oracle():
         kw_run(o, DOMAIN, 1.5, GainSchedule(0.1, 1.0), 100)
 
 
+def test_kw_non_finite_step_raises_like_spsa():
+    # a_1 * |g| = 1e308 * 1e10 = inf: the clamp must not turn it into -2
+    o = NoisyOracle(lambda x: 1e10 * float(x[0]), 1)
+    with pytest.raises(ValueError, match="non-finite coordinates"):
+        kw_run(o, BoxDomain.interval(-2, 2), 0.0, GainSchedule(1e308, 0.5), 5)
+    assert o.eval_counter == 2
+
+
+@pytest.mark.parametrize("x0", [float("nan"), float("inf"), -float("inf")])
+def test_kw_rejects_a_non_finite_x0_before_any_evaluation(x0):
+    o = _oracle(lambda x: float(x[0]) ** 2)
+    with pytest.raises(ValueError, match="non-finite coordinates"):
+        kw_run(o, DOMAIN, x0, GainSchedule(0.1, 1.0), 10)
+    assert o.eval_counter == 0
+
+
 def _kw_reference(oracle, domain, x0, schedule, budget_pairs):
     """The per-step KW loop, one projection and one counter read per step."""
     x = domain.project(as_point(x0, 1))
@@ -363,6 +379,65 @@ def test_spsa_non_finite_step_raises_like_reference():
                 pytest.raises(ValueError, match="non-finite coordinates"):
             _run_spsa(runner, 2, 0.0, 10, schedule=sched,
                       mean_fn=lambda x: 1e10 * float(x[0]))
+
+
+def test_spsa_huge_finite_step_is_scanned_not_rejected():
+    # On a box of +-1e308 the overflow bound is float max - 1e308 = 7.98e307.
+    # On f = x_0 the first step has |s| = a_1 = 9.9e307 (finite), so it must
+    # fall back to the full scan and go on; later steps have s = 0, as the
+    # probes vanish next to iterates of 1e308.
+    sched = GainSchedule(1.5e308, 0.5)
+    assert 9.8e307 < sched.a / 2 ** 0.602 < 1e308
+    for d in (2, 64):
+        runs = []
+        for runner in (spsa_run, _spsa_reference):
+            o = _oracle(lambda x: float(x[0]), d=d)
+            runs.append(runner(o, BoxDomain.interval(-1e308, 1e308, d), np.zeros(d),
+                               sched, 5, np.random.default_rng(d)))
+        traj, ref = runs
+        assert np.abs(traj.iterates[1]).max() > 1e307
+        assert np.array_equal(traj.iterates, ref.iterates)
+        assert np.array_equal(traj.evaluations, ref.evaluations)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1.0])
+def test_spsa_on_an_infinite_box_scans_every_step(sigma):
+    # With an infinite bound no step size is safe: every step is scanned.
+    dom = BoxDomain.interval(-np.inf, np.inf, 3)
+    runs = []
+    for runner in (spsa_run, _spsa_reference):
+        o = _oracle(_quartic_bowl, d=3, sigma=sigma, seed=3)
+        runs.append(runner(o, dom, np.array([0.5, -1.5, 1.9]), GainSchedule(0.05, 0.5, A=5),
+                           200, np.random.default_rng(3)))
+    assert np.array_equal(runs[0].iterates, runs[1].iterates)
+    assert np.array_equal(runs[0].evaluations, runs[1].evaluations)
+    for runner in (spsa_run, _spsa_reference):
+        o = _oracle(lambda x: 1e10 * float(x[0]), d=3)
+        with np.errstate(over="ignore"), \
+                pytest.raises(ValueError, match="non-finite coordinates"):
+            runner(o, dom, np.zeros(3), GainSchedule(1e308, 0.5), 10,
+                   np.random.default_rng(0))
+
+
+def test_spsa_overflow_bound_is_rounded_down():
+    # For a bound of M = 2^1022 + 3 * 2^970, float max - M rounds up to
+    # L = 3 * 2^1022 - 2^972, and M + L rounds to inf. A step of size exactly
+    # L from x_0 = +-M must be scanned and rejected, as the reference does.
+    M = 2.0 ** 1022 + 3 * 2.0 ** 970
+    L = float(np.finfo(float).max) - M
+    assert L == 3 * 2.0 ** 1022 - 2.0 ** 972 and M + L == np.inf
+    a = 5.116074845687446e+307  # a_1 = a / 2^0.602 == L / 4 exactly
+    assert 4 * (a / 2 ** 0.602) == L
+    delta = np.random.default_rng(0).integers(0, 2, size=2) * 2.0 - 1.0
+    # f = 4 x_1 gives s = 4 a_1 delta_1 = +-L exactly, and x_1 = 0 keeps the
+    # probes exact; x_0 is the bound that the step moves away from.
+    x0 = np.array([-M * delta[0] * delta[1], 0.0])
+    for runner in (spsa_run, _spsa_reference):
+        o = _oracle(lambda x: 4.0 * float(x[1]), d=2)
+        with np.errstate(over="ignore"), \
+                pytest.raises(ValueError, match="non-finite coordinates"):
+            runner(o, BoxDomain.interval(-M, M, 2), x0, GainSchedule(a, 0.5), 3,
+                   np.random.default_rng(0))
 
 
 def test_spsa_stored_iterates_share_no_memory():
