@@ -24,7 +24,7 @@ x = np.array([2.0])
 print(f"three draws at x=2 (mu=16): "
       f"{[round(oracle.evaluate(x), 3) for _ in range(3)]}")
 print(f"evaluations used: {oracle.eval_counter}")
-print(f"noiseless truth (not charged): {oracle.true_mean(x)}\n")
+print(f"noiseless truth (not charged): {quartic.mean_fn(x)}\n")
 
 print("== KW on the quartic, x0=30, a=c=1 ==")
 for sigma in (0.1, 1.0, 10.0):

@@ -13,9 +13,9 @@ Everything below probes mu(x) = x^4 at x = 1, where mu' = 4 and mu3 = 24.
 import numpy as np
 
 from fdopt import (CfdConfig, CorCfdConfig, NoisyOracle, cfd_batch, cfd_pair,
-                   cor_cfd_coordinate, optimal_c)
+                   cor_cfd_coordinate, get_test_function, optimal_c)
 
-quartic = lambda v: float(v[0]) ** 4
+quartic = get_test_function("quartic").mean_fn
 x = np.array([1.0])
 
 print("== bias grows like c^2 (noiseless quotients) ==")

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 Point = np.ndarray
-MeanFn = Callable[[np.ndarray], float]
+MeanFn = Callable[[np.ndarray], "float | np.ndarray"]
 
 _UINT64_MASK = (1 << 64) - 1
 # Normals a NoisyOracle draws per generator call, ahead of its observations.
@@ -77,15 +77,12 @@ class NoisyOracle:
 
     Each ``evaluate`` call increments the evaluation counter by exactly one;
     ``evaluate_batch`` charges one per observation it returns, with the noise
-    stream of as many single calls. ``true_mean`` bypasses both noise and the
-    counter and exists only so benchmark metrics can query the noiseless
-    objective. A NaN or infinite mean value raises ``ValueError`` naming the
-    value and the point.
+    stream of as many single calls. A NaN or infinite mean value raises
+    ``ValueError`` naming the value and the point.
 
-    ``mean_fn`` maps one point to a float. With ``vectorized=True`` it also
-    maps an ``(m, d)`` stack of points to an ``(m,)`` array in one call, and
-    ``evaluate_batch`` uses that for stacks; otherwise a stack goes through
-    ``mean_fn`` row by row.
+    ``mean_fn`` maps one point to a float and an ``(m, d)`` stack of points
+    to an ``(m,)`` array, equal row for row: ``evaluate`` passes it a point
+    and ``evaluate_batch`` a stack.
 
     Two oracles built with the same seed produce bit-identical evaluation
     streams: observation ``k`` gets normal ``k`` of the seed's stream, as one
@@ -95,14 +92,12 @@ class NoisyOracle:
     mutable state (counter + RNG) and must not be shared between threads.
     """
 
-    def __init__(self, mean_fn: MeanFn, dimension: int, noise_sigma: float = 0.0,
-                 seed=None, vectorized: bool = False):
+    def __init__(self, mean_fn: MeanFn, dimension: int, noise_sigma: float = 0.0, seed=None):
         if dimension < 1:
             raise ValueError("dimension must be >= 1")
         if not 0 <= noise_sigma < math.inf:  # also false for NaN
             raise ValueError(f"noise_sigma={noise_sigma!r} must satisfy 0 <= sigma < inf")
         self._mean_fn = mean_fn
-        self._vectorized = vectorized
         self.dimension = int(dimension)
         self.noise_sigma = float(noise_sigma)
         self._rng = np.random.default_rng(seed)
@@ -128,7 +123,7 @@ class NoisyOracle:
             if z is None:
                 self._ahead = iter(self._rng.standard_normal(_AHEAD).tolist())
                 z = next(self._ahead)
-            y += self.noise_sigma * z
+            y = y + self.noise_sigma * z  # not +=: y may be a view of x
         return float(y)
 
     def evaluate_batch(self, x, size: int) -> np.ndarray:
@@ -153,12 +148,9 @@ class NoisyOracle:
         if size % m:
             raise ValueError(f"size {size} is not a multiple of the {m} stacked points")
         self._count += size
-        if self._vectorized:
-            mu = np.asarray(self._mean_fn(stack), dtype=float)
-            if mu.shape != (m,):
-                raise ValueError(f"vectorized mean_fn returned shape {mu.shape} for {m} points")
-        else:
-            mu = np.fromiter(map(self._mean_fn, stack), float, m)
+        mu = np.asarray(self._mean_fn(stack), dtype=float)
+        if mu.shape != (m,):
+            raise ValueError(f"mean_fn returned shape {mu.shape} for {m} points")
         finite = np.isfinite(mu)
         if not finite.all():
             i = int(np.argmin(finite))
@@ -176,19 +168,13 @@ class NoisyOracle:
             y = np.repeat(mu, shape[1]).reshape(shape)
         return y if points.ndim == 2 else y[0]
 
-    def true_mean(self, x) -> float:
-        """Noiseless mean response. Metrics only: does not touch the counter."""
-        return float(self._mean_fn(x))
-
 
 @dataclass(frozen=True)
 class TestFunction:
     """A benchmark objective with a known optimum.
 
-    ``mean_fn`` maps one point to a float; ``vectorized`` says it also maps
-    an ``(m, d)`` stack of points to an ``(m,)`` array, equal row for row.
-    ``make_oracle`` passes the flag on, so one oracle call can evaluate a
-    whole stack of probe points.
+    ``mean_fn`` follows ``NoisyOracle``'s contract: a point gives a float,
+    an ``(m, d)`` stack an ``(m,)`` array.
     """
 
     name: str
@@ -196,18 +182,27 @@ class TestFunction:
     mean_fn: MeanFn
     optimum_point: np.ndarray
     optimum_value: float
-    vectorized: bool = False
 
     def make_oracle(self, noise_sigma: float = 0.0, seed=None) -> NoisyOracle:
-        return NoisyOracle(self.mean_fn, self.dimension, noise_sigma, seed,
-                           self.vectorized)
+        return NoisyOracle(self.mean_fn, self.dimension, noise_sigma, seed)
 
 
-def quartic_mean(x) -> float:
-    return float(x[0]) ** 4
+# KW calls the 1-d means one point at a time, so they test for a stack with
+# ``type(x) is _ndarray``, the cheapest test. ``math.pow`` and
+# ``np.float_power`` both call libm's pow; ``x ** 4`` may take a SIMD kernel
+# that rounds differently.
+_ndarray = np.ndarray
 
 
-def cos100_mean(x) -> float:
+def quartic_mean(x):
+    if type(x) is _ndarray and x.ndim == 2:
+        return np.float_power(x[:, 0], 4)
+    return math.pow(x[0], 4)
+
+
+def cos100_mean(x):
+    if type(x) is _ndarray and x.ndim == 2:
+        return -100.0 * np.cos(np.pi * x[:, 0] / 100.0)
     return -100.0 * math.cos(math.pi * float(x[0]) / 100.0)
 
 
@@ -215,8 +210,7 @@ def fn213_mean(x):
     """Sum over coordinate pairs of ``(10(x_even - x_odd)^2 + (1 - x_odd)^2)^4``.
 
     A narrow curved valley with steep walls; global minimum 0 at all-ones.
-    Requires an even dimension. A point gives a float; an ``(m, d)`` stack
-    gives an ``(m,)`` array, each entry equal to that row's float.
+    Requires an even dimension.
     """
     v = np.asarray(x, dtype=float)
     if v.shape[-1] % 2:
@@ -243,5 +237,5 @@ def get_test_function(name: str, dimension: int | None = None) -> TestFunction:
         d = 64 if dimension is None else int(dimension)
         if d < 2 or d % 2:
             raise ValueError("fn213 requires an even dimension >= 2")
-        return TestFunction("fn213", d, fn213_mean, np.ones(d), 0.0, vectorized=True)
+        return TestFunction("fn213", d, fn213_mean, np.ones(d), 0.0)
     raise ValueError(f"unknown test function {name!r}; expected quartic, cos100, or fn213")

@@ -18,7 +18,7 @@ from fdopt.harness import ExperimentConfig, run_replications
 from fdopt.metrics import percentiles
 from fdopt.optimizers import (ArmijoParams, GainSchedule, cor_cfd_gd_run,
                               kw_run, spsa_run)
-from fdopt.oracle import BoxDomain, NoisyOracle, get_test_function
+from fdopt.oracle import BoxDomain, NoisyOracle, get_test_function, quartic_mean
 
 ACCEPTANCE_SEED = 20240817
 
@@ -143,7 +143,7 @@ def test_criterion_6_estimator_near_optimality():
     cfg = CorCfdConfig(pilot_count=10, batch_pairs=n)
     errs = []
     for rep in range(repeats):
-        o = NoisyOracle(lambda v: float(v[0]) ** 4, 1, 1.0,
+        o = NoisyOracle(quartic_mean, 1, 1.0,
                         seed=(ACCEPTANCE_SEED, 6, rep))
         rng = np.random.default_rng((ACCEPTANCE_SEED, 7, rep))
         est = cor_cfd_coordinate(o, x, 0, cfg, rng)[0]
@@ -155,7 +155,7 @@ def test_criterion_6_estimator_near_optimality():
     for i, c in enumerate(grid):
         cell = []
         for rep in range(repeats):
-            o = NoisyOracle(lambda v: float(v[0]) ** 4, 1, 1.0,
+            o = NoisyOracle(quartic_mean, 1, 1.0,
                             seed=(ACCEPTANCE_SEED, 8, i, rep))
             cell.append(cfd_batch(o, x, 0, CfdConfig(n, c)) - 4.0)
         grid_mses.append(float(np.mean(np.square(cell))))
@@ -169,7 +169,7 @@ def test_criterion_6_estimator_near_optimality():
 def test_criterion_7_bias_and_variance_laws():
     t0 = time.time()
     # noiseless CFD bias on the quartic scales exactly like c^2
-    o = NoisyOracle(lambda v: float(v[0]) ** 4, 1, 0.0, seed=0)
+    o = NoisyOracle(quartic_mean, 1, 0.0, seed=0)
     cs = np.logspace(-3, -1, 12)
     errs = [abs(cfd_pair(o, np.array([1.0]), 0, c) - 4.0) for c in cs]
     slope = float(np.polyfit(np.log(cs), np.log(errs), 1)[0])
@@ -177,7 +177,7 @@ def test_criterion_7_bias_and_variance_laws():
 
     sigma, n, c = 1.0, 1000, 0.3
     estimates = [
-        cfd_batch(NoisyOracle(lambda v: float(v[0]) ** 4, 1, sigma,
+        cfd_batch(NoisyOracle(quartic_mean, 1, sigma,
                               seed=(ACCEPTANCE_SEED, 9, rep)),
                   np.array([1.0]), 0, CfdConfig(n, c))
         for rep in range(200)
@@ -218,7 +218,7 @@ def test_criterion_9_budget_exactness():
         d = int(rng.integers(1, 5))
         R = int(rng.choice([1, 2, 5]))
         n = R * int(rng.integers(2, 7))
-        o = NoisyOracle(lambda v: float(np.sum(np.asarray(v) ** 2)), d,
+        o = NoisyOracle(lambda v: np.add.reduce(np.square(v), axis=-1), d,
                         float(rng.uniform(0, 2)), seed=rng.integers(2 ** 32))
         cfg = CorCfdConfig(pilot_count=R, batch_pairs=n, bootstrap_reps=20,
                            pilot_spread=float(rng.uniform(0, 0.9)))

@@ -11,7 +11,7 @@ from fdopt.estimators import (CfdConfig, CorCfdConfig, DegenerateInputError,
                               cfd_batch, cfd_pair,
                               cor_cfd_coordinate, cor_cfd_gradient, optimal_c,
                               sample_pilot_perturbations)
-from fdopt.oracle import NoisyOracle, get_test_function
+from fdopt.oracle import NoisyOracle, get_test_function, quartic_mean
 
 
 def _oracle(mean_fn, d=1, sigma=0.0, seed=0):
@@ -23,20 +23,20 @@ def _oracle(mean_fn, d=1, sigma=0.0, seed=0):
 # ---------------------------------------------------------------------------
 
 def test_cfd_pair_linear_is_exact():
-    o = _oracle(lambda x: 3.0 * float(x[0]))
+    o = _oracle(lambda x: 3.0 * x[..., 0])
     for c in (0.01, 0.5, 2.0):
         assert cfd_pair(o, np.zeros(1), 0, c) == pytest.approx(3.0)
 
 
 def test_cfd_pair_quartic_value():
     # ((1.1)^4 - (0.9)^4) / 0.2 = 4.04, the exact quotient 4 + 4 c^2 at c=0.1
-    o = _oracle(lambda x: float(x[0]) ** 4)
+    o = _oracle(quartic_mean)
     assert cfd_pair(o, np.array([1.0]), 0, 0.1) == pytest.approx(4.04)
     assert o.eval_counter == 2
 
 
 def test_cfd_pair_symmetric_at_zero():
-    o = _oracle(lambda x: float(x[0]) ** 2)
+    o = _oracle(lambda x: np.float_power(x[..., 0], 2))
     assert cfd_pair(o, np.zeros(1), 0, 1.0) == 0.0
 
 
@@ -73,7 +73,7 @@ def test_cfd_pair_matches_single_evaluations_bit_for_bit(sigma, c):
 def test_cfd_bias_quadratic_in_c():
     # noiseless quartic at x=1: |quotient - 4| = 4 c^2 exactly, so the
     # log-log slope of bias against c is 2
-    o = _oracle(lambda x: float(x[0]) ** 4)
+    o = _oracle(quartic_mean)
     cs = np.logspace(-3, -1, 9)
     errs = [abs(cfd_pair(o, np.array([1.0]), 0, c) - 4.0) for c in cs]
     slope = np.polyfit(np.log(cs), np.log(errs), 1)[0]
@@ -82,9 +82,9 @@ def test_cfd_bias_quadratic_in_c():
 
 def test_cfd_batch_noiseless_equals_pair():
     for n in (1, 7, 100):
-        o = _oracle(lambda x: float(x[0]) ** 4)
+        o = _oracle(quartic_mean)
         batch = cfd_batch(o, np.array([1.0]), 0, CfdConfig(n, 0.1))
-        o2 = _oracle(lambda x: float(x[0]) ** 4)
+        o2 = _oracle(quartic_mean)
         assert batch == pytest.approx(cfd_pair(o2, np.array([1.0]), 0, 0.1))
         assert o.eval_counter == 2 * n
 
@@ -93,7 +93,7 @@ def test_cfd_batch_variance_law():
     # empirical variance across repeats matches sigma^2 / (2 n c^2)
     sigma, n, c = 1.0, 1000, 0.3
     estimates = [
-        cfd_batch(_oracle(lambda x: float(x[0]) ** 4, sigma=sigma, seed=rep),
+        cfd_batch(_oracle(quartic_mean, sigma=sigma, seed=rep),
                   np.array([1.0]), 0, CfdConfig(n, c))
         for rep in range(200)
     ]
@@ -103,7 +103,7 @@ def test_cfd_batch_variance_law():
 
 def test_cfd_batch_clt_bound_on_linear():
     sigma, n, c = 1.0, 10_000, 0.5
-    o = _oracle(lambda x: 2.5 * float(x[0]), sigma=sigma, seed=3)
+    o = _oracle(lambda x: 2.5 * x[..., 0], sigma=sigma, seed=3)
     est = cfd_batch(o, np.zeros(1), 0, CfdConfig(n, c))
     se = np.sqrt(sigma ** 2 / (2 * n * c ** 2))
     assert abs(est - 2.5) < 3 * se
@@ -192,7 +192,7 @@ def test_corcfd_config_validation():
 def test_coordinate_noiseless_quartic_recovers_regression():
     # quotients are exactly 4 + 4 c^2, so the fit and the recycled estimate
     # are exact up to rounding
-    o = _oracle(lambda x: float(x[0]) ** 4)
+    o = _oracle(quartic_mean)
     cfg = CorCfdConfig(pilot_count=10, batch_pairs=1000)
     est, c_hat, _, mu3_hat, intercept, _ = cor_cfd_coordinate(
         o, np.array([1.0]), 0, cfg, np.random.default_rng(3))
@@ -203,7 +203,7 @@ def test_coordinate_noiseless_quartic_recovers_regression():
 
 
 def test_coordinate_noiseless_linear_is_exact():
-    o = _oracle(lambda x: -7.0 * float(x[0]))
+    o = _oracle(lambda x: -7.0 * x[..., 0])
     cfg = CorCfdConfig(pilot_count=5, batch_pairs=20)
     est, _, sigma2_hat, *_ = cor_cfd_coordinate(o, np.array([2.0]), 0, cfg,
                                                 np.random.default_rng(4))
@@ -213,7 +213,7 @@ def test_coordinate_noiseless_linear_is_exact():
 
 def test_coordinate_recycled_mean_matches_fit_when_noiseless():
     # with sigma=0 the recycled average equals the fitted mean at c_hat
-    o = _oracle(lambda x: float(x[0]) ** 3)
+    o = _oracle(lambda x: np.float_power(x[..., 0], 3))
     cfg = CorCfdConfig(pilot_count=4, batch_pairs=16)
     est, c_hat, _, mu3_hat, intercept, _ = cor_cfd_coordinate(
         o, np.array([0.5]), 0, cfg, np.random.default_rng(8))
@@ -230,7 +230,7 @@ def test_coordinate_mse_decreases_with_batch():
         cfg = CorCfdConfig(pilot_count=10, batch_pairs=n)
         errs = []
         for rep in range(200):
-            o = _oracle(lambda x: float(x[0]) ** 4, sigma=1.0, seed=(n, rep))
+            o = _oracle(quartic_mean, sigma=1.0, seed=(n, rep))
             rng = np.random.default_rng((n, rep, 1))
             est = cor_cfd_coordinate(o, np.array([1.0]), 0, cfg, rng)[0]
             errs.append(est - 4.0)
@@ -245,7 +245,7 @@ def test_coordinate_without_pilot_spread_is_rank_deficient():
     R, b, reps = 5, 4, 30
     cfg = CorCfdConfig(pilot_count=R, batch_pairs=R * b, pilot_spread=0.0,
                        bootstrap_reps=reps)
-    o = _oracle(lambda x: float(x[0]) ** 4, sigma=1.0, seed=5)
+    o = _oracle(quartic_mean, sigma=1.0, seed=5)
     rng = np.random.default_rng(6)
     _, c_hat, _, mu3_hat, _, mu3_iqr = cor_cfd_coordinate(o, np.array([1.0]), 0,
                                                          cfg, rng)
@@ -258,7 +258,7 @@ def test_coordinate_without_pilot_spread_is_rank_deficient():
 
 
 def test_gradient_quadratic_bowl():
-    o = _oracle(lambda x: float(x[0]) ** 2 + float(x[1]) ** 2, d=2)
+    o = _oracle(lambda x: np.float_power(x[..., 0], 2) + np.float_power(x[..., 1], 2), d=2)
     cfg = CorCfdConfig(pilot_count=5, batch_pairs=20)
     grad = cor_cfd_gradient(o, np.array([1.0, 2.0]), cfg, np.random.default_rng(2))
     assert grad.g == pytest.approx([2.0, 4.0], abs=1e-6)
@@ -277,9 +277,9 @@ def test_gradient_pairs_accounting_d64():
 
 def test_gradient_d1_reduces_to_coordinate():
     cfg = CorCfdConfig(pilot_count=5, batch_pairs=20)
-    o1 = _oracle(lambda x: float(x[0]) ** 4, sigma=0.5, seed=11)
+    o1 = _oracle(quartic_mean, sigma=0.5, seed=11)
     row = cor_cfd_coordinate(o1, np.array([1.0]), 0, cfg, np.random.default_rng(12))
-    o2 = _oracle(lambda x: float(x[0]) ** 4, sigma=0.5, seed=11)
+    o2 = _oracle(quartic_mean, sigma=0.5, seed=11)
     grad = cor_cfd_gradient(o2, np.array([1.0]), cfg, np.random.default_rng(12))
     assert (grad.g[0], grad.c_hat[0], grad.sigma2_hat[0], grad.mu3_hat[0],
             grad.intercept[0], grad.mu3_iqr[0]) == row
@@ -291,7 +291,7 @@ def test_coordinate_linear_function_curvature_insignificant():
     cfg = CorCfdConfig(pilot_count=10, batch_pairs=200)
     insignificant = 0
     for rep in range(100):
-        o = _oracle(lambda x: 3.0 * float(x[0]), sigma=1.0, seed=(50, rep))
+        o = _oracle(lambda x: 3.0 * x[..., 0], sigma=1.0, seed=(50, rep))
         grad = cor_cfd_gradient(o, np.zeros(1), cfg, np.random.default_rng((51, rep)))
         insignificant += int(not grad.curvature_significant[0])
     assert insignificant >= 90
@@ -309,7 +309,7 @@ def test_gradient_budget_across_random_configs():
                            base_perturbation=float(rng.uniform(0.2, 2.0)),
                            pilot_spread=float(rng.uniform(0, 0.9)),
                            bootstrap_reps=20)
-        o = NoisyOracle(lambda x: float(np.sum(np.asarray(x) ** 2)), d, sigma,
+        o = NoisyOracle(lambda x: np.add.reduce(np.square(x), axis=-1), d, sigma,
                         seed=rng.integers(2 ** 32))
         grad = cor_cfd_gradient(o, np.zeros(d), cfg,
                                 np.random.default_rng(rng.integers(2 ** 32)))

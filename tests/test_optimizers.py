@@ -10,7 +10,8 @@ from fdopt.metrics import oscillation_settle_index, oscillatory_period
 from fdopt.optimizers import (ArmijoParams, ConfigurationError, GainSchedule,
                               armijo_search, batch_schedule, cor_cfd_gd_run,
                               Trajectory, kw_run, spsa_run)
-from fdopt.oracle import BoxDomain, NoisyOracle, as_point, get_test_function
+from fdopt.oracle import (BoxDomain, NoisyOracle, as_point, get_test_function,
+                          quartic_mean)
 
 DOMAIN = BoxDomain.interval(-50, 50)
 
@@ -477,7 +478,7 @@ def test_gd_insufficient_budget_is_config_error():
 
 
 def test_gd_noiseless_quadratic_descends_monotonically():
-    o = _oracle(lambda x: float(x[0]) ** 2)
+    o = _oracle(lambda x: np.float_power(x[..., 0], 2))
     traj = _gd(o, budget=2000)
     vals = [x[0] ** 2 for x in traj.iterates]
     below = False
@@ -490,7 +491,7 @@ def test_gd_noiseless_quadratic_descends_monotonically():
 
 
 def test_gd_budget_sync_and_early_exit():
-    o = _oracle(lambda x: float(x[0]) ** 4, sigma=1.0, seed=9)
+    o = _oracle(quartic_mean, sigma=1.0, seed=9)
     budget = 500
     traj = _gd(o, budget=budget, seed=10)
     assert traj.evaluations[-1] == o.eval_counter
@@ -499,7 +500,7 @@ def test_gd_budget_sync_and_early_exit():
 
 
 def test_gd_iterates_stay_feasible_under_noise():
-    o = _oracle(lambda x: float(x[0]) ** 4, sigma=10.0, seed=21)
+    o = _oracle(quartic_mean, sigma=10.0, seed=21)
     traj = _gd(o, budget=1000, seed=22)
     xs = traj.iterates[:, 0]
     assert np.all(xs >= -50.0) and np.all(xs <= 50.0)
@@ -522,7 +523,7 @@ def test_gd_batch_layout_comes_from_the_config():
     # n0 = 40 pairs per coordinate on d = 4: the first gradient costs 2*40*4
     # evaluations and the first line search at most 1 + max_backtracks more
     d = 4
-    o = _oracle(lambda x: float(np.sum(np.asarray(x) ** 2)), d=d, sigma=1.0, seed=40)
+    o = _oracle(lambda x: np.add.reduce(np.square(x), axis=-1), d=d, sigma=1.0, seed=40)
     traj = cor_cfd_gd_run(o, BoxDomain.interval(-10, 10, d), np.full(d, 3.0),
                           CorCfdConfig(batch_pairs=40, pilot_count=10), ArmijoParams(),
                           1000, np.random.default_rng(41))
@@ -537,7 +538,7 @@ def test_gd_budget_exactness_random_configs():
         R = int(rng.choice([1, 2, 5]))
         n0 = R * int(rng.integers(2, 5))
         budget = int(rng.integers(2 * d * n0, 8 * d * n0))
-        o = NoisyOracle(lambda x: float(np.sum(np.asarray(x) ** 2)), d,
+        o = NoisyOracle(lambda x: np.add.reduce(np.square(x), axis=-1), d,
                         float(rng.uniform(0, 1)), seed=rng.integers(2 ** 32))
         dom = BoxDomain.interval(-10, 10, d)
         traj = cor_cfd_gd_run(o, dom, np.full(d, 3.0),
@@ -575,7 +576,7 @@ def test_budget_contract_random_configs():
         if d == 1:
             runs["kw"] = lambda o: kw_run(o, dom, 3.0, GainSchedule(0.1, 1.0), budget)
         for name, run in runs.items():
-            o = NoisyOracle(lambda x: float(np.sum(np.asarray(x) ** 4)), d, sigma,
+            o = NoisyOracle(lambda x: np.add.reduce(np.asarray(x) ** 4, axis=-1), d, sigma,
                             seed=seeds[0])
             traj = run(o)
             assert o.eval_counter <= 2 * budget, (case, name)
@@ -587,7 +588,7 @@ def test_gd_search_cut_short_by_the_budget_takes_no_step():
     # search may draw its baseline and 3 trials, not 1 + 30. On 10 x^2 from 3
     # the gradient is 60, and steps of 1, 0.5 and 0.25 times it all overshoot
     # uphill (the fifth trial would be accepted).
-    o = _oracle(lambda x: 10.0 * float(x[0]) ** 2)
+    o = _oracle(lambda x: 10.0 * np.float_power(x[..., 0], 2))
     traj = _gd(o, budget=22, x0=3.0)
     assert o.eval_counter == 44
     assert traj.evaluations.tolist() == [0, 44]
@@ -616,7 +617,7 @@ def test_trajectory_checkpoint_extraction():
 
     # Cor-CFD-GD stamps are irregular: a gradient plus a line search apart,
     # and odd whenever the search drew an even number of trials
-    o = _oracle(lambda x: float(x[0]) ** 4, sigma=1.0, seed=9)
+    o = _oracle(quartic_mean, sigma=1.0, seed=9)
     traj = _gd(o, budget=500, seed=10)
     stamps = [int(n) for n in traj.evaluations]
     assert len(set(np.diff(stamps))) > 1 and any(n % 2 for n in stamps)
