@@ -121,19 +121,28 @@ def cfd_batch(oracle: NoisyOracle, x, coord: int, cfg: CfdConfig) -> float:
     return float(np.mean((y_plus - y_minus) / (2.0 * c)))
 
 
-def optimal_c(sigma2: float, mu3: float, n: int) -> float:
+def optimal_c(sigma2, mu3, n: int):
     """MSE-optimal CFD perturbation ``(9 sigma2 / (n mu3^2))^(1/6)``.
 
-    Minimizes ``mu3^2 c^4 / 36 + sigma2 / (2 n c^2)`` over ``c > 0``. Raises
-    :class:`DegenerateInputError` when either constant vanishes (no interior
-    minimum exists); callers fall back to a pilot-based perturbation.
+    Minimizes ``mu3^2 c^4 / 36 + sigma2 / (2 n c^2)`` over ``c > 0``, for
+    floats (giving a float) or arrays (elementwise); the power is libm's
+    ``pow``, as Python's ``**`` takes it. Raises :class:`DegenerateInputError`
+    unless every ``sigma2`` is finite and > 0 and every ``mu3`` finite and
+    nonzero (otherwise no interior minimum exists); callers fall back to a
+    pilot-based perturbation.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if sigma2 <= 0 or mu3 == 0:
+    sigma2, mu3 = np.broadcast_arrays(np.asarray(sigma2, dtype=float),
+                                      np.asarray(mu3, dtype=float))
+    bad = ~((0.0 < sigma2) & (sigma2 < np.inf) & (mu3 != 0.0) & np.isfinite(mu3))
+    if bad.any():
+        i = bad.argmax()
         raise DegenerateInputError(
-            "optimal perturbation undefined for sigma2 <= 0 or mu3 == 0")
-    return float((9.0 * sigma2 / (n * mu3 * mu3)) ** (1.0 / 6.0))
+            "optimal perturbation needs finite sigma2 > 0 and finite mu3 != 0, got "
+            f"sigma2={float(sigma2.flat[i])!r}, mu3={float(mu3.flat[i])!r}")
+    c = np.float_power(9.0 * sigma2 / (n * mu3 * mu3), 1.0 / 6.0)
+    return float(c) if c.ndim == 0 else c
 
 
 def sample_pilot_perturbations(cfg: CorCfdConfig, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -180,31 +189,6 @@ def _quartile_spread(samples: np.ndarray) -> np.ndarray:
     return spread
 
 
-def _pairwise_sum(term, js: range) -> np.ndarray:
-    """Sum of the new arrays ``term(j)`` over ``js``, bit for bit as
-    ``np.add.reduce`` sums a contiguous axis: from +0.0, in turn below 8
-    values, in 8 interleaved lanes up to 128, and as halves cut at a multiple
-    of 8 beyond. At most 9 terms are held at once."""
-    n = len(js)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _pairwise_sum(term, js[:half]) + _pairwise_sum(term, js[half:])
-    if n < 8:
-        total, rest = term(js[0]), js[1:]
-    else:
-        lanes = [term(j) for j in js[:8]]
-        for start in js[8:n - n % 8:8]:
-            for i, lane in enumerate(lanes):
-                lane += term(start + i)
-        total = (((lanes[0] + lanes[1]) + (lanes[2] + lanes[3]))
-                 + ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7])))
-        rest = js[n - n % 8:]
-    for j in rest:
-        total += term(j)
-    total += 0.0  # numpy's +0.0 start: it only turns -0.0 into +0.0, so any part may add it
-    return total
-
-
 def _cor_cfd_block(oracle: NoisyOracle, p: np.ndarray, coords: np.ndarray,
                    bases: np.ndarray, cfg: CorCfdConfig,
                    rng: np.random.Generator) -> np.ndarray:
@@ -225,9 +209,9 @@ def _cor_cfd_block(oracle: NoisyOracle, p: np.ndarray, coords: np.ndarray,
     Every draw and every floating-point result is the one a
     coordinate-by-coordinate loop would give: ``rng`` gives each coordinate
     its pilots and then its bootstrap indices, the oracle draws the noise of
-    coordinate, pilot, then ``+``/``-`` side in turn, bootstrap means are
-    summed in ``np.add.reduce``'s order, each batched ``@`` makes one kernel
-    call per coordinate and the powers of ``c_hat`` are taken per coordinate.
+    coordinate, pilot, then ``+``/``-`` side in turn, and each batched ``@``
+    makes one kernel call per coordinate. A bootstrap mean sums its ``b``
+    draws in draw order, from the first draw on.
     """
     k, d = len(coords), oracle.dimension
     n_pilots, b, n = cfg.pilot_count, cfg.pairs_per_pilot, cfg.batch_pairs
@@ -277,7 +261,10 @@ def _cor_cfd_block(oracle: NoisyOracle, p: np.ndarray, coords: np.ndarray,
     # take per draw (one take of all would hold a full intp copy of `flat`).
     starts = np.arange(0, k * n, b, dtype=np.min_scalar_type(k * n - 1))
     flat = idx + starts.reshape(k, 1, n_pilots)         # indices into quotients.flat
-    boot_means = _pairwise_sum(lambda j: quotients.take(flat[j]), range(b)) / b
+    boot_means = quotients.take(flat[0])
+    for j in range(1, b):
+        boot_means += quotients.take(flat[j])
+    boot_means /= b
     centered = boot_means - add(boot_means, 2, keepdims=True) / n_pilots
     slopes = (centered @ zc[:, :, None])[:, :, 0] / denom[:, None]
     slopes[~fit] = 0.0
@@ -287,16 +274,16 @@ def _cor_cfd_block(oracle: NoisyOracle, p: np.ndarray, coords: np.ndarray,
     unstable = slope_iqr > _BOOTSTRAP_GUARD * np.abs(slope)
     fallback = (sigma2_hat <= 0.0) | (np.abs(mu3_hat) < _MU3_FLOOR) | unstable
     c_hat = np.exp(add(np.log(pilots), 1) / n_pilots)
-    for i in np.flatnonzero(~fallback):
-        c_hat[i] = optimal_c(float(sigma2_hat[i]), float(mu3_hat[i]), n)
+    plug_in = ~fallback
+    c_hat[plug_in] = optimal_c(sigma2_hat[plug_in], mu3_hat[plug_in], n)
     c_hat = np.minimum(np.maximum(c_hat, low / 10.0), 10.0 * high)
 
     # Recycle every quotient: match the regression mean at c_hat and rescale
     # the noise from sigma/(sqrt(2) c_r) to sigma/(sqrt(2) c_hat).
     fitted = intercept[:, None] + slope[:, None] * z
-    # c_hat^2 by Python's float power (libm pow): numpy's ``** 2`` is c * c,
-    # which can differ in the last bit.
-    target_mean = intercept + slope * np.array([c ** 2 for c in c_hat.tolist()])
+    # c_hat^2 by libm's pow, as the coordinate loop took it: numpy's ``** 2``
+    # is c * c, which can differ in the last bit.
+    target_mean = intercept + slope * np.float_power(c_hat, 2)
     recycled = (target_mean[:, None, None] + (pilots / c_hat[:, None])[:, :, None]
                 * (quotients - fitted[:, :, None]))
     estimate = add(recycled.reshape(k, -1), 1) / n

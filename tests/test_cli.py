@@ -269,6 +269,30 @@ def test_estimate_noiseless_quartic_diagnostics(tmp_path):
     assert intercept == pytest.approx(4.0, abs=1e-3)
 
 
+# Valid configs whose within-pilot variance overflows: sigma2_hat becomes nan
+# or inf. The plug-in step must fail there, not pass a NaN gradient on to the
+# oracle (which then blames the objective) or write NaN cells. The overflow
+# warnings themselves are still raised.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command", ["bench", "estimate"])
+@pytest.mark.parametrize("edits", [
+    {"R = 10": "R = 10\nc_base = 1e-200"},
+    {"R = 10": "R = 10\nc_base = 1e-160"},
+    {"noise_levels = 0.5": "noise_levels = 1e160", "sigma = 0.5": "sigma = 1e160"},
+], ids=["c_base-1e-200", "c_base-1e-160", "noise-1e160"])
+def test_overflowing_corcfd_estimate_exits_1(tmp_path, capsys, command, edits):
+    cfg = QUARTIC_CFG
+    for line, bad in edits.items():
+        cfg = cfg.replace(line, bad)
+    path = tmp_path / "overflow.cfg"
+    path.write_text(cfg)
+    out = tmp_path / "o"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "optimal perturbation" in err and "objective returned" not in err
+    assert not out.exists()
+
+
 def test_17_digit_serialization(config_path, tmp_path):
     out = tmp_path / "digits"
     assert main(["run", "--config", str(config_path), "--out", str(out)]) == 0

@@ -7,7 +7,7 @@ import pytest
 
 from fdopt import estimators
 from fdopt.estimators import (CfdConfig, CorCfdConfig, DegenerateInputError,
-                              GradientEstimate, _pairwise_sum, _quartile_spread,
+                              GradientEstimate, _quartile_spread,
                               cfd_batch, cfd_pair,
                               cor_cfd_coordinate, cor_cfd_gradient, optimal_c,
                               sample_pilot_perturbations)
@@ -135,10 +135,43 @@ def test_optimal_c_scaling_laws():
 
 
 def test_optimal_c_degenerate_inputs():
-    with pytest.raises(DegenerateInputError):
-        optimal_c(0.0, 6.0, 10)
-    with pytest.raises(DegenerateInputError):
-        optimal_c(1.0, 0.0, 10)
+    for sigma2, mu3 in [(0.0, 6.0), (-1.0, 6.0), (1.0, 0.0), (1.0, -0.0),
+                        (np.nan, 6.0), (np.inf, 6.0), (-np.inf, 6.0),
+                        (1.0, np.nan), (1.0, np.inf), (1.0, -np.inf)]:
+        message = f"got sigma2={sigma2!r}, mu3={mu3!r}"
+        with pytest.raises(DegenerateInputError, match=message):
+            optimal_c(sigma2, mu3, 10)
+        # in an array, the first bad entry is named
+        with pytest.raises(DegenerateInputError, match=message):
+            optimal_c(np.array([1.0, sigma2, 0.0]), np.array([6.0, mu3, 6.0]), 10)
+
+
+def test_optimal_c_float_or_array():
+    assert type(optimal_c(1.0, 6.0, 100)) is float
+    assert type(optimal_c(np.float64(1.0), np.float64(6.0), 100)) is float
+    got = optimal_c(np.array([1.0, 64.0]), np.array([6.0, -6.0]), 100)
+    assert got.shape == (2,)
+    assert got.tolist() == [optimal_c(1.0, 6.0, 100), optimal_c(64.0, -6.0, 100)]
+    assert optimal_c(np.empty(0), np.empty(0), 100).shape == (0,)
+
+
+def test_array_powers_equal_python_float_powers_bit_for_bit():
+    # The block estimator takes c_hat and c_hat^2 with np.float_power on
+    # arrays, where the coordinate loop took Python's ``**``; both must be
+    # libm's pow, whatever SIMD kernels numpy dispatches for ``np.power``.
+    rng = np.random.default_rng(15)
+    m = 50_000
+    sigma2 = 10.0 ** rng.uniform(-30, 30, m) * rng.uniform(0.5, 1.5, m)
+    mu3 = (10.0 ** rng.uniform(-12, 12, m) * rng.uniform(0.5, 1.5, m)
+           * rng.choice([-1.0, 1.0], m))
+    for n in (2, 20, 140, 10_007):
+        expected = np.array([(9.0 * s / (n * u * u)) ** (1.0 / 6.0)
+                             for s, u in zip(sigma2.tolist(), mu3.tolist())])
+        got = optimal_c(sigma2, mu3, n)
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64)), n
+    c = 10.0 ** rng.uniform(-150, 150, 4 * m) * rng.uniform(0.5, 1.5, 4 * m)
+    squares = np.array([x ** 2 for x in c.tolist()])
+    assert np.array_equal(np.float_power(c, 2).view(np.uint64), squares.view(np.uint64))
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +383,8 @@ def _cor_cfd_reference(oracle, x, cfg, rng, base_perturbations=None):
         else:
             slope = float(zc @ (y - y.mean())) / denom
             intercept = float(y.mean()) - slope * float(z.mean())
-            boot = quotients[np.arange(cfg.pilot_count)[None, :, None], idx].mean(axis=2)
+            draws = quotients[np.arange(cfg.pilot_count)[None, :, None], idx]
+            boot = np.add.accumulate(draws, axis=2)[:, :, -1] / b  # in draw order
             slopes = (boot - boot.mean(axis=1, keepdims=True)) @ zc / denom
             q75, q25 = np.percentile(slopes, [75.0, 25.0])
             slope_iqr = float(q75 - q25)
@@ -372,10 +406,11 @@ def _cor_cfd_reference(oracle, x, cfg, rng, base_perturbations=None):
 
 # (d, R, n): at the default 200 bootstrap resamples a block holds
 # max(1, 2**15 // (200 n)) coordinates, so these give 1, 1, 2, 1, 2, 2, 1, 8,
-# 4, 8, 22, 5, 1, 1, 1 and 1 blocks. b = n / R is 8 and 9 at n = 80 and 90,
-# where numpy's sum switches to 8 lanes, and 200 at (2, 2, 400), where it
-# splits in halves. The 1-d layouts are those of the 1-d quartic table, with
-# b = 2, 7, 8, 9 and 14 across the 8-lane switch.
+# 4, 8, 22, 5, 1, 1, 1 and 1 blocks. b = n / R runs from 2 to 200. From
+# b = 8 on, a sum in draw order can differ from numpy's own sum of the draws
+# (8 interleaved lanes, then halves beyond 128), so the b >= 8 layouts pin
+# the draw order: b = 8, 9, 22, 40 and 200 beyond 1-d, and 8, 9 and 14 among
+# the 1-d layouts of the 1-d quartic table (with b = 2 and 7).
 @pytest.mark.parametrize("d, R, n", [(1, 10, 20), (2, 10, 20), (2, 10, 400),
                                      (2, 10, 80), (2, 10, 90), (2, 2, 400),
                                      (8, 5, 20), (8, 10, 220), (64, 5, 10),
@@ -467,19 +502,3 @@ def test_quartile_spread_equals_numpy_percentile(m):
         got = _quartile_spread(samples)
     assert np.array_equal(got, expected, equal_nan=True)
     assert np.array_equal(np.signbit(got), np.signbit(expected))
-
-
-def test_pairwise_sum_equals_numpy_add_reduce():
-    rng = np.random.default_rng(11)
-    for b in [*range(1, 301), 511, 1290]:
-        rows = [rng.normal(size=b),
-                rng.normal(size=b) * 10.0 ** rng.integers(-300, 300, size=b),  # wide exponents
-                np.full(b, -0.0), rng.choice([0.0, -0.0], size=b)]
-        for special in (np.inf, -np.inf, np.nan):
-            rows.append(rng.normal(size=b))
-            rows[-1][rng.integers(b)] = special
-        terms = np.array(rows)
-        expected = np.add.reduce(terms, axis=-1)
-        got = _pairwise_sum(lambda j: terms[:, j].copy(), range(b))
-        assert np.array_equal(got, expected, equal_nan=True), b
-        assert np.array_equal(np.signbit(got), np.signbit(expected)), b
