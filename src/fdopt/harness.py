@@ -228,7 +228,9 @@ def _replication_gaps(config: ExperimentConfig, algorithm: str, sigma_index: int
 
 def _pool_map(workers: int, fn, tasks):
     """Apply ``fn`` over argument tuples, preserving task order. The first
-    failure in task order is raised at once and unstarted tasks are cancelled."""
+    failure in task order is raised at once and unstarted tasks are cancelled.
+    The pool has at most one worker per task."""
+    workers = min(workers, len(tasks))
     if workers <= 1:
         return [fn(*t) for t in tasks]
     # Imported here: it loads multiprocessing and logging, which a 1-worker run never uses.

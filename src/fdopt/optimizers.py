@@ -251,19 +251,19 @@ def cor_cfd_gd_run(oracle: NoisyOracle, domain: BoxDomain, x0, cfg: CorCfdConfig
                    rng: np.random.Generator) -> Trajectory:
     """Gradient descent with Cor-CFD batch gradients and Armijo line search.
 
-    Starts from a gradient at batch ``n0 = cfg.batch_pairs`` with
-    ``R = cfg.pilot_count`` pilots; each iteration runs the line search
-    (charging its evaluations), takes a projected step, grows the batch to
-    ``batch_schedule(n0, R, k)``, and estimates a fresh gradient. The cap of
-    ``2 * budget_pairs`` evaluations is hard: a gradient starts only if the
-    budget can also pay for the baseline and one trial of the search after
-    it, so late sample pairs may be left unused, and a search gets no more
-    backtracks than the remaining budget pays for. If a search cut short that
-    way accepts no trial, no step is taken: the current ``x`` is recorded
-    again and listed in ``ls_exhausted``, and the run ends. The Armijo noise
-    term comes from the current gradient.
+    Each pass starts at batch ``n_k`` (``n0 = cfg.batch_pairs`` on the first)
+    with ``R = cfg.pilot_count`` pilots, and runs only if the budget can pay
+    for its gradient and for the baseline and one trial of its search, so
+    late sample pairs may be left unused. The cap of ``2 * budget_pairs``
+    evaluations is hard. A pass estimates the gradient at ``x``, adapts the
+    pilot scale, runs the line search (charging its evaluations), takes a
+    projected step and grows the batch to ``batch_schedule(n0, R, k)``. A
+    search gets no more backtracks than the remaining budget pays for; if a
+    search cut short that way accepts no trial, no step is taken: the current
+    ``x`` is recorded again and listed in ``ls_exhausted``, and the run ends.
+    The Armijo noise term comes from the pass's gradient.
 
-    The pilot scale is adapted per coordinate between iterations: where the
+    The pilot scale is adapted per coordinate after each gradient: where the
     estimated third derivative clearly exceeds its bootstrap dispersion, the
     next pilots re-center on that coordinate's estimated optimal perturbation
     (steep curved regions need much smaller probes than the configured base);
@@ -279,43 +279,33 @@ def cor_cfd_gd_run(oracle: NoisyOracle, domain: BoxDomain, x0, cfg: CorCfdConfig
     start = oracle.eval_counter
     xs, evaluations = [x], [0]
     ls_exhausted: list[int] = []
-
-    def next_centers(estimate: GradientEstimate, centers: np.ndarray, n: int) -> np.ndarray:
-        scale = cfg.base_perturbation * float(n) ** -0.1
-        significant = estimate.curvature_significant
+    centers = np.full(d, cfg.base_perturbation * float(n0) ** -0.1)
+    k, n_k, base, batch_cfg = 0, n0, None, cfg
+    while oracle.eval_counter - start + 2 * d * n_k + 2 <= cap:
+        if n_k != batch_cfg.batch_pairs:  # once every R iterations
+            batch_cfg = replace(cfg, batch_pairs=n_k)
+        g = cor_cfd_gradient(oracle, x, batch_cfg, rng, base_perturbations=base)
+        significant = g.curvature_significant
         # Significant curvature with c_hat far below the center is a regime
         # change: real curvature demands probes far below anything tried, so
         # the current scale is outside the valid Taylor range. Elsewhere the
         # center holds (significant) or grows, capped at the base scale.
-        return np.where(significant & (estimate.c_hat < 0.25 * centers), estimate.c_hat,
-                        np.minimum(np.where(significant, centers, 4.0 * centers), scale))
-
-    centers = np.full(d, cfg.base_perturbation * float(n0) ** -0.1)
-    g = cor_cfd_gradient(oracle, x, cfg, rng)
-    centers = next_centers(g, centers, n0)
-
-    k, batch_cfg = 0, cfg
-    while True:
+        centers = np.where(significant & (g.c_hat < 0.25 * centers), g.c_hat,
+                           np.minimum(np.where(significant, centers, 4.0 * centers),
+                                      cfg.base_perturbation * float(n_k) ** -0.1))
         left = cap - (oracle.eval_counter - start)  # at least 2 here
         cut = left < 1 + armijo.max_backtracks
         search = replace(armijo, max_backtracks=left - 1) if cut else armijo
         a_k, _, accepted = armijo_search(oracle, x, g, search)
-        used = oracle.eval_counter - start
         k += 1
         if not accepted:
             ls_exhausted.append(k)
         if accepted or not cut:
             x = domain.project(x - a_k * g.g)
         xs.append(x)
-        evaluations.append(used)
+        evaluations.append(oracle.eval_counter - start)
         n_k = batch_schedule(n0, R, k)
-        if used + 2 * d * n_k + 2 > cap:
-            break
         # Feed the adapted centers through the pilot base scale so pilots at
         # batch n_k come out as center * U(1 +- spread).
         base = centers * float(n_k) ** 0.1
-        if n_k != batch_cfg.batch_pairs:  # once every R iterations
-            batch_cfg = replace(cfg, batch_pairs=n_k)
-        g = cor_cfd_gradient(oracle, x, batch_cfg, rng, base_perturbations=base)
-        centers = next_centers(g, centers, n_k)
     return Trajectory(np.stack(xs), np.array(evaluations), ls_exhausted)

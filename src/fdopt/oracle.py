@@ -15,10 +15,8 @@ from typing import Callable
 
 import numpy as np
 
-Point = np.ndarray
 MeanFn = Callable[[np.ndarray], "float | np.ndarray"]
 
-_UINT64_MASK = (1 << 64) - 1
 # Normals a NoisyOracle draws per generator call, ahead of its observations.
 _AHEAD = 128
 
@@ -197,13 +195,19 @@ _ndarray = np.ndarray
 def quartic_mean(x):
     if type(x) is _ndarray and x.ndim == 2:
         return np.float_power(x[:, 0], 4)
-    return math.pow(x[0], 4)
+    try:
+        return math.pow(x[0], 4)
+    except OverflowError:  # np.float_power gives inf
+        return math.inf
 
 
 def cos100_mean(x):
     if type(x) is _ndarray and x.ndim == 2:
         return -100.0 * np.cos(np.pi * x[:, 0] / 100.0)
-    return -100.0 * math.cos(math.pi * float(x[0]) / 100.0)
+    try:
+        return -100.0 * math.cos(math.pi * float(x[0]) / 100.0)
+    except ValueError:  # cos of an infinite angle; np.cos gives nan
+        return math.nan
 
 
 def fn213_mean(x):

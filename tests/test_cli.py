@@ -293,6 +293,17 @@ def test_overflowing_corcfd_estimate_exits_1(tmp_path, capsys, command, edits):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["bench", "run"])
+def test_overflowing_kw_objective_exits_1(tmp_path, capsys, command):
+    # (x +- c)^4 overflows at c = 1e80: the objective's inf must reach the
+    # oracle's check, not end the run with a bare math error.
+    path = tmp_path / "overflow.cfg"
+    path.write_text(QUARTIC_CFG.replace("algorithm = corcfd", "algorithm = kw")
+                    + "\n[kw]\nc = 1e80\n")
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert "objective returned non-finite value inf" in capsys.readouterr().err
+
+
 def test_17_digit_serialization(config_path, tmp_path):
     out = tmp_path / "digits"
     assert main(["run", "--config", str(config_path), "--out", str(out)]) == 0

@@ -1,5 +1,6 @@
 """Tests for replication orchestration, seeding, and config parsing."""
 
+import concurrent.futures
 import multiprocessing
 import os
 import subprocess
@@ -78,6 +79,34 @@ def test_pooled_bench_stops_at_first_failure(monkeypatch):
     with pytest.raises(RuntimeError, match="replication 0/0 failed"):
         run_replications(replace(config, workers=2), "kw")
     assert time.perf_counter() - start < 2.5
+
+
+def test_a_pool_has_no_more_workers_than_tasks(monkeypatch):
+    # A forking pool starts all of its workers at the first submit. The
+    # stand-in records the pool size and runs each task inline; no real pool
+    # is started.
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    assert harness._pool_map(1000, pow, [(2, 1), (2, 2), (2, 3)]) == [2, 4, 8]
+    assert sizes == [3]
+    assert harness._pool_map(1000, pow, [(2, 5)]) == [32]
+    assert sizes == [3]  # a single task runs in process
 
 
 def test_a_64d_spsa_replication_holds_only_its_checkpoint_iterates():

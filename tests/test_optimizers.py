@@ -596,6 +596,18 @@ def test_gd_search_cut_short_by_the_budget_takes_no_step():
     assert traj.ls_exhausted == [1]
 
 
+@pytest.mark.parametrize("budget, stamps", [(21, [0, 42]), (42, [0, 42, 84])])
+def test_gd_pass_runs_when_the_budget_pays_exactly_for_it(budget, stamps):
+    # Noiseless 0.5 x^2 from 0.25: the first trial of every search is
+    # accepted, so a pass costs a 40-evaluation gradient, a baseline and one
+    # trial. A pass whose cost fills the budget to the last evaluation runs.
+    o = _oracle(lambda x: 0.5 * np.float_power(x[..., 0], 2))
+    traj = cor_cfd_gd_run(o, DOMAIN, np.array([0.25]), CorCfdConfig(), ArmijoParams(),
+                          budget, np.random.default_rng(1))
+    assert traj.evaluations.tolist() == stamps
+    assert traj.ls_exhausted == []
+
+
 def _last_iterate_by_scan(traj, pairs):
     """Reference lookup: walk the iterates in order, stop at the first one
     stamped past ``2 * pairs``."""

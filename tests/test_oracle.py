@@ -241,6 +241,19 @@ def test_mean_of_a_stack_equals_its_points_bit_for_bit(name):
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+@pytest.mark.parametrize("name, points", [
+    ("quartic", [1e77, 1e80, -1e200]),  # x^4 is finite, then overflows
+    ("cos100", [1e308, -1e308]),  # pi * x overflows
+])
+def test_mean_past_overflow_equals_its_stack(name, points):
+    fn = get_test_function(name)
+    stack = np.array(points)[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = fn.mean_fn(stack)
+    got = np.array([fn.mean_fn(p) for p in stack])
+    assert np.array_equal(got, want, equal_nan=True)
+
+
 def test_stack_batch_rejects_bad_sizes_and_widths():
     o = NoisyOracle(fn213_mean, 4, 1.0, seed=0)
     with pytest.raises(ValueError, match="size 7 is not a multiple of the 2 stacked points"):
