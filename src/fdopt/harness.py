@@ -98,16 +98,18 @@ class ExperimentConfig:
             if not 0.0 <= sigma < float("inf"):  # also false for NaN
                 raise ConfigurationError(
                     f"noise level {sigma!r} must be finite and >= 0")
+        for key, values in (("noise_levels", self.noise_levels),
+                            ("algorithms", self.algorithms)):
+            if len(set(values)) < len(values):  # it would duplicate table rows
+                raise ConfigurationError(f"{key} {values} repeats an entry")
         if not self.checkpoints:
             raise ConfigurationError("at least one checkpoint budget is required")
         if any(b <= a for a, b in zip(self.checkpoints, self.checkpoints[1:])):
             raise ConfigurationError("checkpoint budgets must be strictly increasing")
         if any(b < 1 for b in self.checkpoints):
             raise ConfigurationError("checkpoint budgets must be positive")
-        if self.algorithm is not None and self.algorithm not in ALGORITHMS:
-            raise ConfigurationError(f"unknown algorithm {self.algorithm!r}")
-        for alg in self.algorithms:
-            if alg not in ALGORITHMS:
+        for alg in (self.algorithm, *self.algorithms):
+            if alg is not None and alg not in ALGORITHMS:
                 raise ConfigurationError(f"unknown algorithm {alg!r}")
         if self.run_sigma is not None and self.run_sigma not in self.noise_levels:
             raise ConfigurationError(
@@ -183,6 +185,8 @@ def run_trajectory(config: ExperimentConfig, algorithm: str, sigma_index: int,
     This is the only place that maps an algorithm name to its optimizer loop.
     ``keep`` goes to :func:`spsa_run` alone; the other runners keep every iterate.
     """
+    if algorithm not in ALGORITHMS:
+        raise ConfigurationError(f"unknown algorithm {algorithm!r}")
     fn = get_test_function(config.function, config.dimension)
     oracle_seed, algo_seed = replication_seed(
         config.master_seed, algorithm, sigma_index, rep).spawn(2)
@@ -192,14 +196,12 @@ def run_trajectory(config: ExperimentConfig, algorithm: str, sigma_index: int,
     # Call the runners by their module-level names, not through a table built
     # at import: perfbench/layers.py traces runs by rebinding those names.
     if algorithm == "kw":
-        traj = kw_run(oracle, config.domain, float(config.x0[0]), config.kw, budget)
+        traj = kw_run(oracle, config.domain, config.x0, config.kw, budget)
     elif algorithm == "spsa":
         traj = spsa_run(oracle, config.domain, config.x0, config.spsa, budget, rng, keep)
-    elif algorithm == "corcfd":
+    else:
         traj = cor_cfd_gd_run(oracle, config.domain, config.x0, config.corcfd,
                               config.armijo, budget, rng)
-    else:
-        raise ConfigurationError(f"unknown algorithm {algorithm!r}")
     return fn, traj
 
 
@@ -236,12 +238,7 @@ def _pool_map(workers: int, fn, tasks):
     # Imported here: it loads multiprocessing and logging, which a 1-worker run never uses.
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fn, *t) for t in tasks]
-        try:
-            return [f.result() for f in futures]
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
+        return list(pool.map(fn, *zip(*tasks)))
 
 
 def run_replications(config: ExperimentConfig, algorithm: str) -> list[ReplicationResult]:
@@ -250,8 +247,6 @@ def run_replications(config: ExperimentConfig, algorithm: str) -> list[Replicati
     Aggregation is a symmetric reduce over replication indices, so permuting
     workers or replication order cannot change the statistics.
     """
-    if algorithm not in ALGORITHMS:
-        raise ConfigurationError(f"unknown algorithm {algorithm!r}")
     checkpoints = config.effective_checkpoints
     reps = config.replications
     # One pool for every noise level; outcomes come back in task order.
@@ -284,7 +279,7 @@ def grid_search_spsa(config: ExperimentConfig, grid: GridSpec) -> GridSearchResu
     Replication seeds do not depend on the cell, so cells share noise streams.
     """
     rows = []
-    best = None
+    scores = []
     for a in grid.a_values:
         for c in grid.c_values:
             cell = run_replications(replace(config, spsa=replace(config.spsa, a=a, c=c)),
@@ -294,11 +289,8 @@ def grid_search_spsa(config: ExperimentConfig, grid: GridSpec) -> GridSearchResu
                 value = res.rmse_optimality_gap[config.largest_budget]
                 rows.append((a, c, res.sigma, value))
                 cell_metrics.append(value)
-            score = float(np.mean(cell_metrics))
-            key = (score, a, c)
-            if best is None or key < best[0]:
-                best = (key, a, c)
-    (score, _, _), best_a, best_c = best
+            scores.append((float(np.mean(cell_metrics)), a, c))
+    score, best_a, best_c = min(scores)
     return GridSearchResult(best_a, best_c, score, tuple(rows))
 
 
@@ -381,6 +373,8 @@ def load_config(path) -> ExperimentConfig:
 
 def _read_sections(parser: configparser.ConfigParser) -> dict[str, dict]:
     """Parse every key through ``_KEYS``, naming any unknown section or key."""
+    if parser.defaults():  # configparser would copy these keys into every section
+        raise ConfigurationError("unknown config entries: [DEFAULT]")
     unknown = [f"[{name}]" for name in parser.sections() if name not in _KEYS]
     unknown += [f"[{name}] {key}" for name in parser.sections() if name in _KEYS
                 for key in parser[name] if key not in _KEYS[name]]

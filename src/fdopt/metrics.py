@@ -35,17 +35,12 @@ def _boundary_flips(series, lower: float, upper: float) -> np.ndarray:
     Boundary membership is tested with exact equality: projection emits the
     bound verbatim, so no tolerance is needed.
     """
-    xs = _scalar_series(series)
-    at_lo = xs == lower
-    at_hi = xs == upper
-    return (at_lo[:-1] & at_hi[1:]) | (at_hi[:-1] & at_lo[1:])
-
-
-def _scalar_series(series) -> np.ndarray:
     xs = np.asarray(series, dtype=float)
     if xs.ndim != 1:
         raise ValueError("oscillation statistics require a series of scalar iterates")
-    return xs
+    at_lo = xs == lower
+    at_hi = xs == upper
+    return (at_lo[:-1] & at_hi[1:]) | (at_hi[:-1] & at_lo[1:])
 
 
 def oscillatory_period(series, lower: float, upper: float) -> int:
@@ -56,10 +51,7 @@ def oscillatory_period(series, lower: float, upper: float) -> int:
     run); staying on one boundary is not a flip, and the pair ``(x_0, x_1)``
     is excluded.
     """
-    flips = _boundary_flips(series, lower, upper)
-    if flips.size <= 1:
-        return 0
-    return int(flips[1:].sum())
+    return int(_boundary_flips(series, lower, upper)[1:].sum())
 
 
 def oscillation_settle_index(series, lower: float, upper: float) -> int:
@@ -69,13 +61,8 @@ def oscillation_settle_index(series, lower: float, upper: float) -> int:
     by the benchmark tables; on a single leading flip chain it equals
     ``oscillatory_period + 1``.
     """
-    flips = _boundary_flips(series, lower, upper)
-    if flips.size <= 1:
-        return 0
-    idx = np.nonzero(flips[1:])[0]
-    if idx.size == 0:
-        return 0
-    return int(idx[-1]) + 2
+    idx = np.flatnonzero(_boundary_flips(series, lower, upper)[1:])
+    return int(idx[-1]) + 2 if idx.size else 0
 
 
 def percentiles(values, probs=(0.05, 0.5, 0.95)) -> tuple:

@@ -149,14 +149,14 @@ def _check_charged(oracle: NoisyOracle, start: int, budget_pairs: int) -> None:
                            f"for {budget_pairs} pairs")
 
 
-def kw_run(oracle: NoisyOracle, domain: BoxDomain, x0: float,
+def kw_run(oracle: NoisyOracle, domain: BoxDomain, x0,
            schedule: GainSchedule, budget_pairs: int) -> Trajectory:
     """Kiefer-Wolfowitz: one CFD pair per iteration with diminishing gains.
 
     ``x_{k+1} = project(x_k - a_k g_k)`` with ``a_k = a/(A+k)`` and
     ``c_k = c/k^(1/4)``, iterating from ``k=1`` until ``2 * budget_pairs``
     evaluations are consumed; ``RuntimeError`` if the oracle counted any other number.
-    A non-finite ``x0`` or step raises ``ValueError``.
+    ``x0`` is a one-coordinate point; a non-finite ``x0`` or step raises ``ValueError``.
     """
     if oracle.dimension != 1:
         raise ValueError("kw_run requires a one-dimensional oracle")
@@ -170,7 +170,7 @@ def kw_run(oracle: NoisyOracle, domain: BoxDomain, x0: float,
     start = oracle.eval_counter
     xs = np.full(budget_pairs + 1, x)
     for k in range(1, budget_pairs + 1):  # step k is stamped 2k evaluations
-        a_k = a / (A + k) ** 1.0
+        a_k = a / (A + k)
         c_k = c / k ** 0.25
         g = (evaluate((x + c_k,)) - evaluate((x - c_k,))) / (2.0 * c_k)
         step = x - a_k * g

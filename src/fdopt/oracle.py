@@ -155,13 +155,10 @@ class NoisyOracle:
             _reject_non_finite(mu[i], stack[i])
         shape = (m, size // m)
         if self.noise_sigma:
-            held = min(operator.length_hint(self._ahead), size)
-            if held:  # first use up the block that evaluate drew
-                z = np.concatenate((np.fromiter(self._ahead, float, held),
-                                    self._rng.standard_normal(size - held))).reshape(shape)
-            else:
-                z = self._rng.standard_normal(shape)
-            y = mu[:, None] + self.noise_sigma * z
+            held = np.fromiter(self._ahead, float,  # first the block evaluate drew
+                               min(operator.length_hint(self._ahead), size))
+            z = np.concatenate((held, self._rng.standard_normal(size - len(held))))
+            y = mu[:, None] + self.noise_sigma * z.reshape(shape)
         else:
             y = np.repeat(mu, shape[1]).reshape(shape)
         return y if points.ndim == 2 else y[0]

@@ -171,6 +171,46 @@ def test_bench_bad_noise_levels_exit_2(tmp_path, capsys, levels):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "bench", "estimate"])
+@pytest.mark.parametrize("default", ["sigma = 0.5", "n0 = 40"])
+def test_default_section_exits_2(tmp_path, capsys, command, default):
+    # configparser copies [DEFAULT] keys into every section: without the check
+    # `sigma` would silently set both [experiment] and [estimate] sigma, and
+    # `n0` would be reported as an [experiment] and an [estimate] key.
+    path = tmp_path / "default.cfg"
+    path.write_text(f"[DEFAULT]\n{default}\n" + textwrap.dedent("""
+        [experiment]
+        function = quartic
+        noise_levels = 0.5
+        checkpoints = 20 50
+        algorithm = kw
+        algorithms = kw
+
+        [estimate]
+        point = 1
+        n = 100
+    """))
+    out = tmp_path / "o"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 2
+    assert "unknown config entries: [DEFAULT]\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line, repeated", [
+    ("noise_levels = 0.5", "noise_levels = 1 1"),
+    ("algorithms = kw corcfd", "algorithms = kw kw"),
+])
+def test_bench_repeated_list_entry_exits_2(tmp_path, capsys, line, repeated):
+    # A repeat would write table rows that share a key.
+    path = tmp_path / "repeat.cfg"
+    path.write_text(QUARTIC_CFG.replace(line, repeated))
+    out = tmp_path / "b"
+    assert main(["bench", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"configuration error: {repeated.split()[0]} " in err and "repeats an entry" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("section", ["[kw]\na = nan", "[spsa]\nA = -5"])
 def test_bench_bad_gains_exit_2(tmp_path, capsys, section):
     path = tmp_path / "gains.cfg"

@@ -84,18 +84,13 @@ def test_pooled_bench_stops_at_first_failure(monkeypatch):
 def test_a_pool_has_no_more_workers_than_tasks(monkeypatch):
     # A forking pool starts all of its workers at the first submit. The
     # stand-in records the pool size and runs each task inline; no real pool
-    # is started.
+    # is started. Executor supplies the context manager and a map that calls
+    # submit.
     sizes = []
 
-    class InlinePool:
+    class InlinePool(concurrent.futures.Executor):
         def __init__(self, max_workers):
             sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
 
         def submit(self, fn, *args):
             future = concurrent.futures.Future()
@@ -183,6 +178,10 @@ def test_unknown_algorithm_rejected():
     config = _small_config()
     with pytest.raises(ConfigurationError):
         run_replications(config, "adam")
+    # "estimate" has a seed key but no optimizer loop.
+    for name in ("adam", "estimate"):
+        with pytest.raises(ConfigurationError, match=f"unknown algorithm '{name}'"):
+            harness.run_trajectory(config, name, 0, 0)
 
 
 def test_fn213_budget_multiplier():

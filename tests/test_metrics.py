@@ -80,6 +80,19 @@ def test_settle_index_cases():
         oscillatory_period(series, -50, 50) + 1
 
 
+@pytest.mark.parametrize("series", [[], [50.0], [-50.0, 50.0]])
+def test_short_series_have_no_oscillation(series):
+    # Too short for a flip at k >= 2.
+    assert oscillatory_period(series, -50, 50) == 0
+    assert oscillation_settle_index(series, -50, 50) == 0
+
+
+def test_oscillation_statistics_reject_a_0d_series():
+    for statistic in (oscillatory_period, oscillation_settle_index):
+        with pytest.raises(ValueError):
+            statistic(np.float64(50.0), -50, 50)
+
+
 def test_percentiles_nearest_rank():
     assert percentiles([5000] * 200) == (5000, 5000, 5000)
     assert percentiles(list(range(1, 101)))[1] == 50
