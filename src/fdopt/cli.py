@@ -87,10 +87,9 @@ def cmd_bench(args) -> int:
                 rows += [[res.sigma, algorithm, metric, b, by_budget[b]]
                          for b in config.effective_checkpoints]
             if res.oscillation_percentiles is not None:
-                p5, med, p95 = res.oscillation_percentiles
-                rows.append([res.sigma, algorithm, "osc_p5", "", p5])
-                rows.append([res.sigma, algorithm, "osc_median", "", med])
-                rows.append([res.sigma, algorithm, "osc_p95", "", p95])
+                rows += [[res.sigma, algorithm, name, "", value] for name, value in
+                         zip(("osc_p5", "osc_median", "osc_p95"),
+                             res.oscillation_percentiles)]
     out = Path(args.out) / "table.csv"
     _write_csv(out, ["sigma", "method", "metric", "checkpoint", "value"], rows)
     print(f"wrote {out} ({len(rows)} cells)")
@@ -122,10 +121,7 @@ def cmd_estimate(args) -> int:
         config.master_seed, "estimate", 0, 0).spawn(2)
     oracle = fn.make_oracle(est.sigma, oracle_seed)
     rng = np.random.default_rng(algo_seed)
-    try:
-        cfg = replace(config.corcfd, batch_pairs=est.n)
-    except ValueError as exc:
-        raise ConfigurationError(f"invalid [estimate]/[corcfd] combination: {exc}")
+    cfg = replace(config.corcfd, batch_pairs=est.n)  # checked when the config loaded
     grad = cor_cfd_gradient(oracle, est.point, cfg, rng)
     columns = (grad.c_hat, grad.sigma2_hat, grad.mu3_hat, grad.intercept, grad.g)
     rows = [[coord + 1, *values, est.n] for coord, values in enumerate(zip(*columns))]

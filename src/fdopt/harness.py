@@ -128,6 +128,12 @@ class ExperimentConfig:
                 f"kw needs a one-dimensional function, not dimension {fn.dimension}")
         if "corcfd" in (self.algorithm, *self.algorithms):
             check_corcfd_budget(fn.dimension, self.corcfd, self.largest_budget)
+        if self.estimate is not None:
+            try:
+                replace(self.corcfd, batch_pairs=self.estimate.n)
+            except ValueError as exc:
+                raise ConfigurationError(
+                    f"invalid [estimate]/[corcfd] combination: {exc}") from exc
 
     @property
     def budget_multiplier(self) -> int:
@@ -284,12 +290,9 @@ def grid_search_spsa(config: ExperimentConfig, grid: GridSpec) -> GridSearchResu
         for c in grid.c_values:
             cell = run_replications(replace(config, spsa=replace(config.spsa, a=a, c=c)),
                                     "spsa")
-            cell_metrics = []
-            for res in cell:
-                value = res.rmse_optimality_gap[config.largest_budget]
-                rows.append((a, c, res.sigma, value))
-                cell_metrics.append(value)
-            scores.append((float(np.mean(cell_metrics)), a, c))
+            values = [res.rmse_optimality_gap[config.largest_budget] for res in cell]
+            rows += [(a, c, res.sigma, value) for res, value in zip(cell, values)]
+            scores.append((float(np.mean(values)), a, c))
     score, best_a, best_c = min(scores)
     return GridSearchResult(best_a, best_c, score, tuple(rows))
 
@@ -301,13 +304,9 @@ def apply_profile(config: ExperimentConfig, profile: str) -> ExperimentConfig:
         return config
     if profile != "desk":
         raise ConfigurationError(f"unknown profile {profile!r}")
-    scaled = []
-    for b in config.checkpoints:
-        v = max(1, b // 10)
-        if not scaled or v > scaled[-1]:
-            scaled.append(v)
+    tenths = (max(1, b // 10) for b in config.checkpoints)  # never decreasing
     return replace(config, replications=min(50, config.replications),
-                   checkpoints=tuple(scaled))
+                   checkpoints=tuple(dict.fromkeys(tenths)))
 
 
 # ---------------------------------------------------------------------------
@@ -360,10 +359,9 @@ def load_config(path) -> ExperimentConfig:
     """Load an :class:`ExperimentConfig` from a sectioned key/value file."""
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str  # keep keys case-sensitive: spsa `a` vs `A`
-    read = parser.read(str(path))
-    if not read:
-        raise ConfigurationError(f"cannot read config file {path}")
     try:
+        if not parser.read(str(path), encoding="utf-8"):
+            raise ConfigurationError(f"cannot read config file {path}")
         return _config_from_parser(parser)
     except (configparser.Error, KeyError, ValueError, TypeError) as exc:
         if isinstance(exc, ConfigurationError):

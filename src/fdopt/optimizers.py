@@ -102,22 +102,19 @@ def armijo_search(oracle: NoisyOracle, x, g: GradientEstimate,
     estimate's gradient ``g.g`` and ``sigma2`` the mean of its
     ``sigma2_hat``. One fresh baseline evaluation of ``Y(x)`` is drawn per
     search and reused across backtracks.
-    Returns ``(a, evaluations_used, accepted)``; when the backtrack budget runs
-    out, the smallest trial step is returned with ``accepted=False``.
+    Returns ``(a, evaluations_used, accepted)``, the count being the baseline plus
+    the trials run; if none passes, the smallest trial step comes with ``accepted=False``.
     """
     p = as_point(x, oracle.dimension)
     g_vec, relax = g.g, 2.0 * float(np.add.reduce(g.sigma2_hat) / len(g.sigma2_hat))
     gg = float(g_vec @ g_vec)
     baseline = oracle.evaluate(p)
-    n_ls = 1
     a = params.a0
-    for _ in range(params.max_backtracks):
-        candidate = oracle.evaluate(p - a * g_vec)
-        n_ls += 1
-        if candidate <= baseline - params.l1 * a * gg + relax:
-            return a, n_ls, True
+    for t in range(params.max_backtracks):
+        if oracle.evaluate(p - a * g_vec) <= baseline - params.l1 * a * gg + relax:
+            return a, t + 2, True
         a *= params.l2
-    return a / params.l2, n_ls, False
+    return a / params.l2, params.max_backtracks + 1, False
 
 
 def check_corcfd_budget(dimension: int, cfg: CorCfdConfig, budget_pairs: int) -> None:
@@ -220,8 +217,7 @@ def spsa_run(oracle: NoisyOracle, domain: BoxDomain, x0, schedule: GainSchedule,
     start = oracle.eval_counter
     xs = np.empty((len(kept), d))
     xs[0] = x
-    scratch = np.empty(d)  # the clamp's output at steps that are not kept
-    marks = iter(range(1, budget_pairs + 1) if keep is None else kept[1:].tolist())
+    marks = iter(kept[1:].tolist())
     i, mark = 1, next(marks, 0)  # the next row of xs, and the step it keeps
     rows = max(1, 16384 // d)  # 128 KiB of directions per draw, whatever d is
     k = 0
@@ -237,10 +233,9 @@ def spsa_run(oracle: NoisyOracle, domain: BoxDomain, x0, schedule: GainSchedule,
             step = x - s * delta
             if not abs(s) <= limit and not np.isfinite(step).all():
                 raise ValueError("point has non-finite coordinates")
-            kept_step = k == mark
             x = np.minimum(np.maximum(step, lower, out=step), upper,
-                           out=xs[i] if kept_step else scratch)
-            if kept_step:
+                           out=xs[i] if k == mark else step)
+            if k == mark:
                 i, mark = i + 1, next(marks, 0)
     _check_charged(oracle, start, budget_pairs)
     return Trajectory(xs, 2 * kept)

@@ -113,6 +113,21 @@ def test_unreadable_config_exits_2(tmp_path):
     assert main(["run", "--config", str(bad), "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("text", [
+    QUARTIC_CFG.replace("[experiment]", ""),
+    QUARTIC_CFG + "\n[experiment]\nreplications = 2\n",
+    QUARTIC_CFG.replace("dimension = 1", "function = fn213"),
+    QUARTIC_CFG.replace("master_seed = 777", "master_seed = 7\xff7"),
+], ids=["no-header", "repeated-section", "repeated-key", "not-utf8"])
+def test_bench_unparsable_config_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(text.encode("latin-1"))
+    out = tmp_path / "b"
+    assert main(["bench", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("configuration error: ")
+    assert not out.exists()
+
+
 def test_run_writes_trajectory(config_path, tmp_path):
     out = tmp_path / "out"
     assert main(["run", "--config", str(config_path), "--out", str(out)]) == 0
@@ -373,6 +388,17 @@ FN213_CFG = textwrap.dedent("""
     a = 2e-8
     c = 0.5
 """)
+
+
+def test_bench_estimate_n_that_pilots_cannot_split_exits_2(tmp_path, capsys):
+    # `bench` never estimates alone, but the file is checked as a whole.
+    path = tmp_path / "split.cfg"
+    path.write_text(QUARTIC_CFG.replace("n = 100", "n = 15"))
+    out = tmp_path / "b"
+    assert main(["bench", "--config", str(path), "--out", str(out)]) == 2
+    assert ("configuration error: invalid [estimate]/[corcfd] combination: "
+            "pilot_count must divide batch_pairs") in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bench_kw_beyond_one_dimension_exits_2(tmp_path, capsys):

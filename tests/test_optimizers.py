@@ -338,18 +338,21 @@ def test_spsa_matches_per_step_reference_bit_for_bit(d, sigma):
 @pytest.mark.parametrize("d", [1, 2, 64])
 def test_spsa_kept_rows_equal_the_full_run_bit_for_bit(d, sigma):
     rows = 16384 // d  # the direction block size of spsa_run
-    keep = (1, rows - 1, rows, rows + 1, 3 * rows + 5)
-    full, o_full, rng_full = _run_spsa(spsa_run, d, sigma, keep[-1])
-    kept, o_kept, rng_kept = _run_spsa(partial(spsa_run, keep=keep), d, sigma, keep[-1])
-    assert np.array_equal(full.evaluations, 2 * np.arange(keep[-1] + 1))
-    assert np.array_equal(kept.iterates, full.iterates[[0, *keep]])
-    assert np.array_equal(kept.evaluations, full.evaluations[[0, *keep]])
-    assert kept.evaluations.dtype == full.evaluations.dtype
-    for pairs in keep:
-        assert np.array_equal(kept.at_pair_budget(pairs), full.at_pair_budget(pairs))
-    assert o_kept.eval_counter == o_full.eval_counter == 2 * keep[-1]
-    assert o_kept._rng.bit_generator.state == o_full._rng.bit_generator.state
-    assert rng_kept.bit_generator.state == rng_full.bit_generator.state
+    sparse = (1, rows - 1, rows, rows + 1, 3 * rows + 5)
+    budget = sparse[-1]
+    full, o_full, rng_full = _run_spsa(spsa_run, d, sigma, budget)
+    assert np.array_equal(full.evaluations, 2 * np.arange(budget + 1))
+    # A `keep` listing every step copies a row at every step, as `keep=None` does.
+    for keep in (sparse, tuple(range(1, budget + 1))):
+        kept, o_kept, rng_kept = _run_spsa(partial(spsa_run, keep=keep), d, sigma, budget)
+        assert np.array_equal(kept.iterates, full.iterates[[0, *keep]])
+        assert np.array_equal(kept.evaluations, full.evaluations[[0, *keep]])
+        assert kept.evaluations.dtype == full.evaluations.dtype
+        for pairs in keep:
+            assert np.array_equal(kept.at_pair_budget(pairs), full.at_pair_budget(pairs))
+        assert o_kept.eval_counter == o_full.eval_counter == 2 * budget
+        assert o_kept._rng.bit_generator.state == o_full._rng.bit_generator.state
+        assert rng_kept.bit_generator.state == rng_full.bit_generator.state
 
 
 @pytest.mark.parametrize("keep", [(5, 5), (7, 3), (0, 5), (41,), (2.5,)])
