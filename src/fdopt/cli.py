@@ -157,11 +157,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config_path = Path(args.config)
-        if not config_path.is_file():
-            raise ConfigurationError(f"config file not found: {config_path}")
-        if Path(args.out).is_file():  # the directory itself is made at the first write
-            raise ConfigurationError(f"--out {args.out} is a file, not a directory")
+        out = Path(args.out)
+        for path in (out, *out.parents):  # the directories are made at the first write
+            if path.is_file():
+                raise ConfigurationError(f"--out {out}: {path} is a file, not a directory")
         return args.handler(args)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -172,12 +172,11 @@ def _quartile_spread(samples: np.ndarray) -> np.ndarray:
     of a one-coordinate block.
     """
     m = samples.shape[1]
-    if m == 1:  # numpy takes the one value as both neighbours, with weight 1
-        cuts = [(-1, -1, 1.0)] * 2
-    else:       # interpolate at (m - 1) q between order statistics lo, lo + 1
-        cuts = [(int(at), int(at) + 1, at - int(at))
-                for at in ((m - 1) * 0.75, (m - 1) * 0.25)]
-    kth = sorted({0, m - 1} | {i % m for lo, hi, _ in cuts for i in (lo, hi)})
+    # Interpolate at (m - 1) q between order statistics lo and lo + 1; one
+    # sample is both, taken with weight 0 where numpy uses 1: the same spread.
+    cuts = [(int(at), min(int(at) + 1, m - 1), at - int(at))
+            for at in ((m - 1) * 0.75, (m - 1) * 0.25)]
+    kth = sorted({0, m - 1} | {i for lo, hi, _ in cuts for i in (lo, hi)})
     ordered = np.partition(samples, kth, axis=1)
     quartiles = []
     for lo, hi, t in cuts:

@@ -60,8 +60,8 @@ class EstimateParams:
 class ExperimentConfig:
     """One benchmark cell family: a function, noise levels, and algorithm blocks.
 
-    ``checkpoints`` are listed pair budgets; for ``fn213`` the effective
-    budgets are the listed values times the dimension. Cor-CFD-GD starts at
+    ``checkpoints`` are listed pair budgets; the effective budgets are the
+    listed values times the dimension. Cor-CFD-GD starts at
     batch ``corcfd.batch_pairs`` with ``corcfd.pilot_count`` pilots. SPSA's
     stability constant defaults to 10% of the largest budget.
     """
@@ -136,14 +136,8 @@ class ExperimentConfig:
                     f"invalid [estimate]/[corcfd] combination: {exc}") from exc
 
     @property
-    def budget_multiplier(self) -> int:
-        """Listed budgets are scaled by the dimension for fn213."""
-        return self.dimension if self.function == "fn213" else 1
-
-    @property
     def effective_checkpoints(self) -> tuple[int, ...]:
-        m = self.budget_multiplier
-        return tuple(b * m for b in self.checkpoints)
+        return tuple(b * self.dimension for b in self.checkpoints)
 
     @property
     def largest_budget(self) -> int:

@@ -65,18 +65,18 @@ def oscillation_settle_index(series, lower: float, upper: float) -> int:
     return int(idx[-1]) + 2 if idx.size else 0
 
 
-def percentiles(values, probs=(0.05, 0.5, 0.95)) -> tuple:
-    """Empirical percentiles by the nearest-rank method.
+def percentiles(values) -> tuple:
+    """The 5th, 50th and 95th empirical percentiles, by the nearest-rank method.
 
-    Returns the ``ceil(p * N)``-th order statistic for each probability, so
-    every returned value is an element of the input.
+    Returns the ``ceil(p * N)``-th order statistic for each ``p`` in
+    ``(0.05, 0.5, 0.95)``, so every returned value is an element of the input.
     """
     data = sorted(values)
     n = len(data)
     if n == 0:
         raise ValueError("percentiles of an empty list are undefined")
     out = []
-    for p in probs:
+    for p in (0.05, 0.5, 0.95):
         rank = min(n, max(1, math.ceil(p * n)))
         out.append(data[rank - 1])
     return tuple(out)

@@ -127,16 +127,15 @@ class NoisyOracle:
     def evaluate_batch(self, x, size: int) -> np.ndarray:
         """``size`` independent observations; charges ``size`` evaluations.
 
-        ``x`` is one point, giving a ``(size,)`` array, or an ``(m, d)`` stack
-        of points, giving an ``(m, size // m)`` array whose row ``i`` holds
-        the observations at ``x[i]``. ``size`` is the total over the stack and
-        must be a multiple of ``m``. Either way the draws equal those of
-        ``size`` single calls, point after point.
+        ``x`` is an ``(m, d)`` stack of points. The result is an
+        ``(m, size // m)`` array whose row ``i`` holds the observations at
+        ``x[i]``. ``size`` is the total over the stack and must be a multiple
+        of ``m``. The draws equal those of ``size`` single calls, point after
+        point.
         """
-        points = np.asarray(x, dtype=float)
-        if points.ndim not in (1, 2):
-            raise ValueError(f"expected a point or an (m, d) stack, got shape {points.shape}")
-        stack = np.atleast_2d(points)
+        stack = np.asarray(x, dtype=float)
+        if stack.ndim != 2:
+            raise ValueError(f"expected an (m, d) stack, got shape {stack.shape}")
         m, width = stack.shape
         if width != self.dimension:
             raise ValueError(
@@ -158,10 +157,8 @@ class NoisyOracle:
             held = np.fromiter(self._ahead, float,  # first the block evaluate drew
                                min(operator.length_hint(self._ahead), size))
             z = np.concatenate((held, self._rng.standard_normal(size - len(held))))
-            y = mu[:, None] + self.noise_sigma * z.reshape(shape)
-        else:
-            y = np.repeat(mu, shape[1]).reshape(shape)
-        return y if points.ndim == 2 else y[0]
+            return mu[:, None] + self.noise_sigma * z.reshape(shape)
+        return np.repeat(mu, shape[1]).reshape(shape)
 
 
 @dataclass(frozen=True)

@@ -94,17 +94,18 @@ def _read(path):
         return list(csv.reader(fh))
 
 
-def test_missing_config_exits_2(tmp_path, capsys):
-    assert main(["run", "--config", str(tmp_path / "nope.cfg"),
-                 "--out", str(tmp_path)]) == 2
-    assert "configuration error" in capsys.readouterr().err
+@pytest.mark.parametrize("name", ["nope.cfg", "a_directory"])
+def test_missing_config_exits_2(tmp_path, capsys, name):
+    (tmp_path / "a_directory").mkdir()
+    assert main(["run", "--config", str(tmp_path / name), "--out", str(tmp_path)]) == 2
+    assert "configuration error: cannot read config file" in capsys.readouterr().err
 
 
-def test_out_naming_a_file_exits_2(config_path, tmp_path, capsys):
-    out = tmp_path / "taken"
-    out.write_text("")
-    assert main(["bench", "--config", str(config_path), "--out", str(out)]) == 2
-    assert "is a file, not a directory" in capsys.readouterr().err
+@pytest.mark.parametrize("out", ["taken", "taken/sub"])
+def test_out_naming_a_file_exits_2(config_path, tmp_path, capsys, out):
+    (tmp_path / "taken").write_text("")
+    assert main(["bench", "--config", str(config_path), "--out", str(tmp_path / out)]) == 2
+    assert f"{tmp_path / 'taken'} is a file, not a directory" in capsys.readouterr().err
 
 
 def test_unreadable_config_exits_2(tmp_path):

@@ -28,7 +28,9 @@ def test_demo_runs(name):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, str(ROOT / "demos" / name)], env=env,
-                          capture_output=True, text=True, timeout=300)
+    # -W error: any warning fails the demo, as pyproject's filterwarnings fails
+    # a RuntimeWarning raised in-process.
+    proc = subprocess.run([sys.executable, "-W", "error", str(ROOT / "demos" / name)],
+                          env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert hashlib.sha256(proc.stdout.encode()).hexdigest() == DEMOS[name], proc.stdout

@@ -354,7 +354,7 @@ def test_gradient_budget_across_random_configs():
 
 
 def _cor_cfd_reference(oracle, x, cfg, rng, base_perturbations=None):
-    """The coordinate-by-coordinate Cor-CFD gradient: two single-point batches
+    """The coordinate-by-coordinate Cor-CFD gradient: two one-point batches
     per pilot and one bootstrap and percentile pass per coordinate."""
     p = np.asarray(x, dtype=float)
     d, n, b = oracle.dimension, cfg.batch_pairs, cfg.pairs_per_pilot
@@ -369,8 +369,8 @@ def _cor_cfd_reference(oracle, x, cfg, rng, base_perturbations=None):
             plus, minus = p.copy(), p.copy()
             plus[coord] += c
             minus[coord] += -c
-            quotients[r] = ((oracle.evaluate_batch(plus, b) - oracle.evaluate_batch(minus, b))
-                            / (2.0 * c))
+            quotients[r] = ((oracle.evaluate_batch(plus[None], b)[0]
+                             - oracle.evaluate_batch(minus[None], b)[0]) / (2.0 * c))
         sigma2_hat = float(np.mean(2.0 * pilots ** 2 * quotients.var(axis=1, ddof=1)))
 
         z = pilots ** 2

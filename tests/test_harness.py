@@ -184,13 +184,13 @@ def test_unknown_algorithm_rejected():
             harness.run_trajectory(config, name, 0, 0)
 
 
-def test_fn213_budget_multiplier():
+def test_effective_budgets_scale_with_the_dimension():
     config = ExperimentConfig(
         function="fn213", dimension=4, noise_levels=(1.0,),
         x0=np.tile([3.0, 1.0], 2), domain=BoxDomain.interval(-50, 50, 4),
         checkpoints=(100, 200), replications=1, master_seed=0)
-    assert config.budget_multiplier == 4
     assert config.effective_checkpoints == (400, 800)
+    assert _small_config().effective_checkpoints == (20, 50)
 
 
 def test_config_validation_errors():

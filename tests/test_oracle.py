@@ -1,5 +1,7 @@
 """Tests for noisy oracles, test functions, and box projection."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -119,7 +121,7 @@ def test_eval_counter_exactness():
     for _ in range(17):
         o.evaluate(np.array([1.0]))
     assert o.eval_counter == 17
-    o.evaluate_batch(np.array([1.0]), 5)
+    o.evaluate_batch(np.array([[1.0]]), 5)
     assert o.eval_counter == 22
 
 
@@ -143,15 +145,15 @@ def test_seed_determinism():
 def test_batch_stream_matches_single_calls():
     a = NoisyOracle(quartic_mean, 1, 1.0, seed=9)
     b = NoisyOracle(quartic_mean, 1, 1.0, seed=9)
-    batch = a.evaluate_batch(np.array([1.5]), 8)
+    batch = a.evaluate_batch(np.array([[1.5]]), 8)[0]
     singles = np.array([b.evaluate(np.array([1.5])) for _ in range(8)])
     assert np.array_equal(batch, singles)
 
 
 def test_block_draws_equal_the_per_call_stream():
     # Calls chosen to start, end and cross the edges of the blocks the oracle
-    # draws ahead: ("e", 1) is one evaluate, ("p", size) a batch at one point
-    # and ("s", size) a batch on a stack of points.
+    # draws ahead: ("e", 1) is one evaluate, ("p", size) a batch on a stack of
+    # one point and ("s", size) a batch on a stack of several.
     b = _AHEAD
     script = [("e", 1), ("p", 1), ("p", b - 1), ("p", b), ("e", 1), ("s", b - 1),
               ("e", 1), ("s", b + 1), ("p", 3 * b + 5), ("e", 1), ("e", 1), ("e", 1),
@@ -167,10 +169,10 @@ def test_block_draws_equal_the_per_call_stream():
             continue
         m = next(k for k in (3, 2, 1) if size % k == 0) if kind == "s" else 1
         x = points.normal(size=(m, 2))
-        got = o.evaluate_batch(x if kind == "s" else x[0], size)
+        got = o.evaluate_batch(x, size)
         want = [[fn.mean_fn(p) + 2.5 * stream.standard_normal() for _ in range(size // m)]
                 for p in x]
-        assert np.array_equal(got, want if kind == "s" else want[0]), (kind, size)
+        assert np.array_equal(got, want), (kind, size)
     assert o.eval_counter == sum(size for _, size in script)
 
 
@@ -195,7 +197,7 @@ def test_non_finite_mean_does_not_use_a_normal():
     assert o.evaluate(np.array([1.0])) == stream.standard_normal()
     with pytest.raises(ValueError, match="non-finite value nan"):
         o.evaluate_batch(np.array([[1.0], [2.0]]), 4)
-    assert np.array_equal(o.evaluate_batch(np.array([1.0]), 3),
+    assert np.array_equal(o.evaluate_batch(np.array([[1.0]]), 3)[0],
                           [stream.standard_normal() for _ in range(3)])
 
 
@@ -218,7 +220,7 @@ def test_stack_batch_equals_point_batches_in_row_order(fn_id, d, sigma):
     got = a.evaluate_batch(points, 15)
     assert got.shape == (5, 3)
     assert a.eval_counter == 15
-    assert np.array_equal(got, np.array([b.evaluate_batch(p, 3) for p in points]))
+    assert np.array_equal(got, np.array([b.evaluate_batch(p[None], 3)[0] for p in points]))
     assert a._rng.bit_generator.state == b._rng.bit_generator.state
     if sigma == 0.0:
         assert np.array_equal(got, np.repeat([[fn.mean_fn(p)] for p in points], 3, axis=1))
@@ -262,8 +264,9 @@ def test_stack_batch_rejects_bad_sizes_and_widths():
         o.evaluate_batch(np.ones((2, 6)), 2)
     with pytest.raises(ValueError, match="size must be >= 1"):
         o.evaluate_batch(np.ones((2, 4)), 0)
-    with pytest.raises(ValueError, match=r"a point or an \(m, d\) stack, got shape \(2, 2, 4\)"):
-        o.evaluate_batch(np.ones((2, 2, 4)), 4)
+    for shape in ((4,), (2, 2, 4)):
+        with pytest.raises(ValueError, match=re.escape(f"an (m, d) stack, got shape {shape}")):
+            o.evaluate_batch(np.ones(shape), 4)
     assert o.eval_counter == 0
     bad = NoisyOracle(lambda x: np.zeros(3), 4)
     with pytest.raises(ValueError, match=r"returned shape \(3,\) for 2 points"):
@@ -282,7 +285,7 @@ def test_dimension_mismatch_raises():
     with pytest.raises(ValueError):
         o.evaluate(np.ones(3))
     with pytest.raises(ValueError):
-        o.evaluate_batch(np.ones(5), 2)
+        o.evaluate_batch(np.ones((1, 5)), 2)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -291,21 +294,21 @@ def test_non_finite_mean_value_rejected(value):
     with pytest.raises(ValueError, match=rf"non-finite value {value} at point \[1\.0, 2\.0\]"):
         o.evaluate(np.array([1.0, 2.0]))
     with pytest.raises(ValueError, match=rf"non-finite value {value} at point \[1\.0, 2\.0\]"):
-        o.evaluate_batch(np.array([1.0, 2.0]), 3)
+        o.evaluate_batch(np.array([[1.0, 2.0]]), 3)
 
 
 def test_noise_mean_law_of_large_numbers():
     # mean of Y(x) - mu(x) over 1e6 draws stays within 4e-3 of zero
     o = NoisyOracle(quartic_mean, 1, 1.0, seed=1234)
     x = np.array([1.0])
-    draws = o.evaluate_batch(x, 1_000_000) - 1.0
+    draws = o.evaluate_batch(x[None], 1_000_000)[0] - 1.0
     assert abs(float(draws.mean())) < 4e-3
 
 
 def test_noise_variance_matches_sigma2():
     sigma = 3.0
     o = NoisyOracle(quartic_mean, 1, sigma, seed=77)
-    draws = o.evaluate_batch(np.array([0.5]), 100_000) - 0.5 ** 4
+    draws = o.evaluate_batch(np.array([[0.5]]), 100_000)[0] - 0.5 ** 4
     assert float(draws.var()) == pytest.approx(sigma ** 2, rel=0.05)
 
 
