@@ -7,8 +7,7 @@ boundary-oscillation statistics) over seeded replications.
 
 from .estimators import (CfdConfig, CorCfdConfig, DegenerateInputError,
                          GradientEstimate, cfd_batch, cfd_pair,
-                         cor_cfd_coordinate, cor_cfd_gradient, optimal_c,
-                         sample_pilot_perturbations)
+                         cor_cfd_coordinate, cor_cfd_gradient, optimal_c)
 from .harness import (ALGORITHMS, ExperimentConfig, GridSpec, ReplicationResult,
                       grid_search_spsa, load_config, replication_seed,
                       run_replications, run_trajectory)
@@ -32,6 +31,5 @@ __all__ = [
     "get_test_function", "grid_search_spsa", "kw_run", "load_config",
     "optimal_c", "optimality_gap", "oscillation_settle_index",
     "oscillatory_period", "percentiles", "replication_seed", "rmse",
-    "run_replications", "run_trajectory", "sample_pilot_perturbations",
-    "solution_gap", "spsa_run",
+    "run_replications", "run_trajectory", "solution_gap", "spsa_run",
 ]

@@ -1,3 +1,3 @@
-from .cli import run_main
+from .cli import main
 
-run_main()
+raise SystemExit(main())

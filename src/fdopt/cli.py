@@ -168,7 +168,3 @@ def main(argv=None) -> int:
     except Exception as exc:  # noqa: BLE001 - single CLI failure funnel
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-def run_main() -> None:
-    raise SystemExit(main())

@@ -46,6 +46,8 @@ class CfdConfig:
 class CorCfdConfig:
     """Cor-CFD settings: pilot layout, pilot distribution, bootstrap size.
 
+    A batch of ``n`` pairs draws ``pilot_count`` pilot perturbations
+    ``base_perturbation * n^(-1/10) * U(1 +- pilot_spread)``, each > 0.
     ``batch_pairs`` must be divisible by ``pilot_count`` with at least two
     pairs per pilot, so the within-pilot variance is estimable.
     """
@@ -145,17 +147,6 @@ def optimal_c(sigma2, mu3, n: int):
     return float(c) if c.ndim == 0 else c
 
 
-def sample_pilot_perturbations(cfg: CorCfdConfig, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw ``R`` pilot perturbations ``c_base * n^(-1/10) * U(1 +- spread)``.
-
-    The scale shrinks like ``n^(-1/10)``, so the pilot variance is
-    ``O(n^(-1/5))``; all draws are strictly positive for spread < 1.
-    """
-    scale = cfg.base_perturbation * float(n) ** -0.1
-    u = rng.uniform(1.0 - cfg.pilot_spread, 1.0 + cfg.pilot_spread, size=cfg.pilot_count)
-    return scale * u
-
-
 _MU3_FLOOR = 1e-12
 _BOOTSTRAP_GUARD = 10.0
 # A block of k coordinates draws k * bootstrap_reps * batch_pairs bootstrap
@@ -222,7 +213,7 @@ def _cor_cfd_block(oracle: NoisyOracle, p: np.ndarray, coords: np.ndarray,
     for i in range(k):
         u[i] = rng.uniform(1.0 - cfg.pilot_spread, 1.0 + cfg.pilot_spread, size=n_pilots)
         idx[:, i] = rng.integers(0, b, size=(reps, n_pilots, b)).transpose(2, 0, 1)
-    # The pilot scale shrinks like n^(-1/10), as in sample_pilot_perturbations.
+    # Pilots c_base * n^(-1/10) * U(1 +- spread), as CorCfdConfig states.
     pilots = (bases * float(n) ** -0.1)[:, None] * u                # (k, R)
 
     points = np.empty((k, n_pilots, 2, d))

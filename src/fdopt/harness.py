@@ -343,7 +343,7 @@ _CORCFD_FIELDS = {"n0": "batch_pairs", "R": "pilot_count", "c_base": "base_pertu
 
 def _tile(values: tuple[float, ...], dimension: int, what: str) -> np.ndarray:
     """Expand a short value list to the full dimension by tiling."""
-    if dimension % len(values):
+    if not values or dimension % len(values):
         raise ConfigurationError(
             f"{what} has {len(values)} entries, not a divisor of dimension {dimension}")
     return np.tile(np.asarray(values, dtype=float), dimension // len(values))

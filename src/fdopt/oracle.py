@@ -21,12 +21,12 @@ MeanFn = Callable[[np.ndarray], "float | np.ndarray"]
 _AHEAD = 128
 
 
-def as_point(x, dimension: int | None = None) -> np.ndarray:
+def as_point(x, dimension: int) -> np.ndarray:
     """Coerce ``x`` to a 1-d float vector, checking finiteness and length."""
     p = np.atleast_1d(np.asarray(x, dtype=float))
     if p.ndim != 1:
         raise ValueError(f"a point must be a 1-d vector, got shape {p.shape}")
-    if dimension is not None and p.shape[0] != dimension:
+    if p.shape[0] != dimension:
         raise ValueError(f"dimension mismatch: expected {dimension}, got {p.shape[0]}")
     if not np.isfinite(p).all():
         raise ValueError("point has non-finite coordinates")

@@ -2,6 +2,9 @@
 
 import csv
 import hashlib
+import os
+import subprocess
+import sys
 import textwrap
 from pathlib import Path
 
@@ -99,6 +102,26 @@ def test_missing_config_exits_2(tmp_path, capsys, name):
     (tmp_path / "a_directory").mkdir()
     assert main(["run", "--config", str(tmp_path / name), "--out", str(tmp_path)]) == 2
     assert "configuration error: cannot read config file" in capsys.readouterr().err
+
+
+def test_module_entry_point_exit_codes(config_path, tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parents[1] / "src"),
+                    env.get("PYTHONPATH")) if p)
+
+    def fdopt(config):
+        return subprocess.run(
+            [sys.executable, "-m", "fdopt", "bench", "--config", str(config),
+             "--out", str(tmp_path / "bench")],
+            env=env, capture_output=True, text=True, timeout=120)
+
+    proc = fdopt(config_path)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "bench" / "table.csv").is_file()
+    proc = fdopt(tmp_path / "nope.cfg")
+    assert proc.returncode == 2
+    assert "configuration error: cannot read config file" in proc.stderr
 
 
 @pytest.mark.parametrize("out", ["taken", "taken/sub"])
@@ -247,6 +270,10 @@ def test_bench_bad_gains_exit_2(tmp_path, capsys, section):
     ("estimate", "point = 1", "point = nan", "estimate.csv"),
     ("grid", "a_values = 0.05 1e-3", "a_values = 0.05 nan", "grid.csv"),
     ("bench", "x0 = 30", "x0 = nan", "table.csv"),
+    ("bench", "x0 = 30", "x0 =", "table.csv"),
+    ("bench", "lower = -50", "lower =", "table.csv"),
+    ("bench", "upper = 50", "upper =", "table.csv"),
+    ("estimate", "point = 1", "point =", "estimate.csv"),
     ("bench", "replications = 3", "workers = 0", "table.csv"),
     ("bench", "master_seed = 777", "master_seed = -1", "table.csv"),
     ("bench", "--workers", "workers = -3", "table.csv"),

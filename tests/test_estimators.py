@@ -9,8 +9,7 @@ from fdopt import estimators
 from fdopt.estimators import (CfdConfig, CorCfdConfig, DegenerateInputError,
                               GradientEstimate, _quartile_spread,
                               cfd_batch, cfd_pair,
-                              cor_cfd_coordinate, cor_cfd_gradient, optimal_c,
-                              sample_pilot_perturbations)
+                              cor_cfd_coordinate, cor_cfd_gradient, optimal_c)
 from fdopt.oracle import NoisyOracle, get_test_function, quartic_mean
 
 
@@ -178,29 +177,41 @@ def test_array_powers_equal_python_float_powers_bit_for_bit():
 # pilot perturbations
 # ---------------------------------------------------------------------------
 
+def _pilots(cfg, seed=0, calls=1):
+    """The pilots ``cor_cfd_coordinate`` draws, read off the ``+`` probes it
+    sends a recording mean at x = 0, where 0 + c is exactly c."""
+    probes = []
+
+    def mean(stack):  # rows: pilot after pilot, the + side then the - side
+        probes.append(stack[0::2, 0].copy())
+        return np.zeros(len(stack))
+
+    oracle, rng = _oracle(mean), np.random.default_rng(seed)
+    for _ in range(calls):
+        cor_cfd_coordinate(oracle, np.zeros(1), 0, replace(cfg, bootstrap_reps=1), rng)
+    return np.concatenate(probes)
+
+
 def test_pilots_degenerate_spread():
-    cfg = CorCfdConfig(pilot_count=10, batch_pairs=20, base_perturbation=2.0,
+    cfg = CorCfdConfig(pilot_count=10, batch_pairs=1000, base_perturbation=2.0,
                        pilot_spread=0.0)
-    pilots = sample_pilot_perturbations(cfg, 1024, np.random.default_rng(0))
-    assert np.allclose(pilots, 2.0 * 1024 ** -0.1)
+    pilots = _pilots(cfg)
+    assert np.allclose(pilots, 2.0 * 1000 ** -0.1)
     assert len(pilots) == 10
 
 
 def test_pilots_power_law_scale():
-    cfg = CorCfdConfig(pilot_spread=0.0)
-    p1 = sample_pilot_perturbations(cfg, 2, np.random.default_rng(0))
-    p2 = sample_pilot_perturbations(cfg, 2 * 1024, np.random.default_rng(0))
+    p1 = _pilots(CorCfdConfig(batch_pairs=20, pilot_spread=0.0))
+    p2 = _pilots(CorCfdConfig(batch_pairs=20 * 1024, pilot_spread=0.0))
     assert np.allclose(p2, p1 * 0.5)
 
 
 def test_pilots_variance_formula():
     # Var[c^r] = c_base^2 n^(-1/5) spread^2 / 3 for the uniform pilot law
-    cfg = CorCfdConfig(pilot_count=10, batch_pairs=20, base_perturbation=1.5,
-                       pilot_spread=0.4)
-    rng = np.random.default_rng(5)
     n = 50
-    draws = np.concatenate([sample_pilot_perturbations(cfg, n, rng)
-                            for _ in range(10_000)])
+    cfg = CorCfdConfig(pilot_count=10, batch_pairs=n, base_perturbation=1.5,
+                       pilot_spread=0.4)
+    draws = _pilots(cfg, seed=5, calls=2_000)
     expected = 1.5 ** 2 * n ** -0.2 * 0.4 ** 2 / 3.0
     assert draws.var() == pytest.approx(expected, rel=0.05)
     assert np.all(draws > 0)
@@ -363,7 +374,9 @@ def _cor_cfd_reference(oracle, x, cfg, rng, base_perturbations=None):
         coord_cfg = cfg
         if base_perturbations is not None:
             coord_cfg = replace(cfg, base_perturbation=float(base_perturbations[coord]))
-        pilots = sample_pilot_perturbations(coord_cfg, n, rng)
+        spread = cfg.pilot_spread
+        pilots = (coord_cfg.base_perturbation * float(n) ** -0.1
+                  * rng.uniform(1 - spread, 1 + spread, size=cfg.pilot_count))
         quotients = np.empty((cfg.pilot_count, b))
         for r, c in enumerate(pilots):
             plus, minus = p.copy(), p.copy()

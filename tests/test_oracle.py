@@ -314,6 +314,6 @@ def test_noise_variance_matches_sigma2():
 
 def test_as_point_rejects_nonfinite():
     with pytest.raises(ValueError):
-        as_point([np.nan])
+        as_point([np.nan], 1)
     with pytest.raises(ValueError):
-        as_point([np.inf, 0.0])
+        as_point([np.inf, 0.0], 2)
