@@ -1,8 +1,10 @@
 """Command-line front end: run, bench, grid, and estimate subcommands.
 
 All outputs are tidy CSV with numbers serialized to 17 significant digits, so
-repeated runs with the same configuration and seed are byte-identical. Exit
-codes: 0 success, 1 runtime failure, 2 configuration error.
+repeated runs with the same configuration and seed are byte-identical. Each
+``cmd_*`` maps the loaded config to ``(file name, header, rows, summary)``, and
+:func:`main` writes that table under ``--out``. Exit codes: 0 success, 1
+runtime failure, 2 configuration error.
 """
 
 from __future__ import annotations
@@ -41,24 +43,13 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
                              for cell in row])
 
 
-def _load(args) -> ExperimentConfig:
-    config = load_config(args.config)
-    if args.seed is not None:
-        config = replace(config, master_seed=args.seed)
-    if args.workers is not None:
-        config = replace(config, workers=args.workers)
-    return apply_profile(config, args.profile)
-
-
-def cmd_run(args) -> int:
+def cmd_run(config: ExperimentConfig):
     """Write `trajectory.csv`: one row per produced iterate of a single run."""
-    config = _load(args)
     if config.algorithm is None:
         raise ConfigurationError("`run` needs `algorithm` in the [experiment] section")
     sigma = config.run_sigma if config.run_sigma is not None else config.noise_levels[0]
     fn, traj = run_trajectory(config, config.algorithm,
                               config.noise_levels.index(sigma), rep=0)
-
     header = (["iter", "pairs_used"] + [f"x_{i + 1}" for i in range(fn.dimension)]
               + ["solution_gap", "optimality_gap"])
     # Row 0 is the starting point; every later iterate is within the budget.
@@ -66,22 +57,17 @@ def cmd_run(args) -> int:
              metrics.optimality_gap(fn.mean_fn(x), fn.optimum_value)]
             for k, (x, n_count) in enumerate(
                 zip(traj.iterates[1:], traj.evaluations[1:]), start=1)]
-    out = Path(args.out) / "trajectory.csv"
-    _write_csv(out, header, rows)
-    print(f"wrote {out} ({len(rows)} iterates, algorithm={config.algorithm}, "
-          f"sigma={_fmt(sigma)})")
-    return 0
+    return ("trajectory.csv", header, rows,
+            f"{len(rows)} iterates, algorithm={config.algorithm}, sigma={_fmt(sigma)}")
 
 
-def cmd_bench(args) -> int:
+def cmd_bench(config: ExperimentConfig):
     """Write `table.csv`: one row per benchmark-table cell."""
-    config = _load(args)
     if not config.algorithms:
         raise ConfigurationError("`bench` needs a nonempty `algorithms` list")
     rows = []
     for algorithm in config.algorithms:
-        results = run_replications(config, algorithm)
-        for res in results:
+        for res in run_replications(config, algorithm):
             for metric in ("rmse_solution_gap", "rmse_optimality_gap"):
                 by_budget = getattr(res, metric)
                 rows += [[res.sigma, algorithm, metric, b, by_budget[b]]
@@ -90,29 +76,22 @@ def cmd_bench(args) -> int:
                 rows += [[res.sigma, algorithm, name, "", value] for name, value in
                          zip(("osc_p5", "osc_median", "osc_p95"),
                              res.oscillation_percentiles)]
-    out = Path(args.out) / "table.csv"
-    _write_csv(out, ["sigma", "method", "metric", "checkpoint", "value"], rows)
-    print(f"wrote {out} ({len(rows)} cells)")
-    return 0
+    return ("table.csv", ["sigma", "method", "metric", "checkpoint", "value"], rows,
+            f"{len(rows)} cells")
 
 
-def cmd_grid(args) -> int:
-    """Write `grid.csv` and print the selected (a, c) cell."""
-    config = _load(args)
+def cmd_grid(config: ExperimentConfig):
+    """Write `grid.csv` and report the selected (a, c) cell."""
     if config.grid is None:
         raise ConfigurationError("`grid` needs a [grid] section")
     result = grid_search_spsa(config, config.grid)
-    out = Path(args.out) / "grid.csv"
-    _write_csv(out, ["a", "c", "sigma", "rmse_opt_gap"], result.rows)
-    print(f"wrote {out} ({len(result.rows)} cells)")
-    print(f"selected a={_fmt(result.best_a)} c={_fmt(result.best_c)} "
-          f"rmse_opt_gap={_fmt(result.best_metric)}")
-    return 0
+    return ("grid.csv", ["a", "c", "sigma", "rmse_opt_gap"], result.rows,
+            f"{len(result.rows)} cells; selected a={_fmt(result.best_a)} "
+            f"c={_fmt(result.best_c)} rmse_opt_gap={_fmt(result.best_metric)}")
 
 
-def cmd_estimate(args) -> int:
+def cmd_estimate(config: ExperimentConfig):
     """Write `estimate.csv`: per-coordinate Cor-CFD diagnostics at one point."""
-    config = _load(args)
     if config.estimate is None:
         raise ConfigurationError("`estimate` needs an [estimate] section")
     fn = get_test_function(config.function, config.dimension)
@@ -125,11 +104,9 @@ def cmd_estimate(args) -> int:
     grad = cor_cfd_gradient(oracle, est.point, cfg, rng)
     columns = (grad.c_hat, grad.sigma2_hat, grad.mu3_hat, grad.intercept, grad.g)
     rows = [[coord + 1, *values, est.n] for coord, values in enumerate(zip(*columns))]
-    out = Path(args.out) / "estimate.csv"
-    _write_csv(out, ["coord", "c_hat", "sigma2_hat", "mu3_hat", "intercept",
-                     "estimate", "pairs_used"], rows)
-    print(f"wrote {out} (d={fn.dimension}, total pairs={grad.pairs_used})")
-    return 0
+    return ("estimate.csv", ["coord", "c_hat", "sigma2_hat", "mu3_hat", "intercept",
+                             "estimate", "pairs_used"],
+            rows, f"d={fn.dimension}, total pairs={grad.pairs_used}")
 
 
 _COMMANDS = {"run": cmd_run, "bench": cmd_bench, "grid": cmd_grid,
@@ -161,7 +138,15 @@ def main(argv=None) -> int:
         for path in (out, *out.parents):  # the directories are made at the first write
             if path.is_file():
                 raise ConfigurationError(f"--out {out}: {path} is a file, not a directory")
-        return args.handler(args)
+        config = load_config(args.config)
+        if args.seed is not None:
+            config = replace(config, master_seed=args.seed)
+        if args.workers is not None:
+            config = replace(config, workers=args.workers)
+        name, header, rows, summary = args.handler(apply_profile(config, args.profile))
+        _write_csv(out / name, header, rows)
+        print(f"wrote {out / name} ({summary})")
+        return 0
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -309,7 +309,7 @@ def cor_cfd_gradient(oracle: NoisyOracle, x, cfg: CorCfdConfig,
     sample pairs). ``base_perturbations`` optionally overrides the pilot base
     scale per coordinate (used by the descent loop to adapt pilots to the
     local curvature): ``d`` values, each finite and > 0, checked before any
-    evaluation.
+    evaluation. A gradient entry that is not finite raises ``ValueError``.
     """
     p = as_point(x, oracle.dimension)
     d = oracle.dimension
@@ -325,4 +325,8 @@ def cor_cfd_gradient(oracle: NoisyOracle, x, cfg: CorCfdConfig,
     for start in range(0, d, width):
         coords = np.arange(start, min(start + width, d))
         fields[:, coords] = _cor_cfd_block(oracle, p, coords, bases[coords], cfg, rng)
+    if not np.isfinite(fields[0]).all():  # sigma2_hat = inf can still give a finite fallback
+        coord = int(np.argmin(np.isfinite(fields[0])))
+        raise ValueError(f"Cor-CFD gradient is not finite at coordinate {coord}: "
+                         f"{float(fields[0, coord])!r} at c_hat={float(fields[1, coord])!r}")
     return GradientEstimate(*fields, pairs_used=d * cfg.batch_pairs)

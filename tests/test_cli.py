@@ -290,6 +290,39 @@ def test_bad_config_values_exit_2(tmp_path, capsys, command, line, bad, output):
     assert not out.exists()  # not even the directory that would hold `output`
 
 
+# Faults whose message does not name the key; `line` is replaced by `bad`.
+@pytest.mark.parametrize("command, line, bad, message", [
+    ("bench", "checkpoints = 20 50", "checkpoints =",
+     "at least one checkpoint budget is required"),
+    ("bench", "checkpoints = 20 50", "checkpoints = 0 50",
+     "checkpoint budgets must be positive"),
+    ("grid", "a_values = 0.05 1e-3", "a_values =",
+     "grid needs at least one a value and one c value"),
+    ("bench", "function = quartic\n", "", "[experiment] must set `function`"),
+    ("bench", "R = 10", "R = 0", "pilot_count must be >= 1"),
+    ("bench", "R = 10", "R = 10\nbootstrap_reps = 0", "bootstrap_reps must be >= 1"),
+    ("bench", "R = 10", "R = 10\nl1 = 0", "l1 must lie in (0, 1)"),
+    ("bench", "R = 10", "R = 10\nl2 = 1", "l2 must lie in (0, 1)"),
+    ("bench", "R = 10", "R = 10\nmax_backtracks = 0", "max_backtracks must be >= 1"),
+    ("bench", "dimension = 1", "dimension = 2", "quartic is one-dimensional"),
+    ("run", "algorithm = corcfd\n", "",
+     "`run` needs `algorithm` in the [experiment] section"),
+    ("estimate", "[estimate]\npoint = 1\nn = 100\nsigma = 0.5\n", "",
+     "`estimate` needs an [estimate] section"),
+], ids=["no-checkpoints", "zero-checkpoint", "no-grid-a", "no-function", "R-0",
+        "bootstrap_reps-0", "l1-0", "l2-1", "max_backtracks-0", "quartic-2d",
+        "run-no-algorithm", "estimate-no-section"])
+def test_config_faults_exit_2(tmp_path, capsys, command, line, bad, message):
+    assert line in QUARTIC_CFG
+    path = tmp_path / "bad.cfg"
+    path.write_text(QUARTIC_CFG.replace(line, bad))
+    out = tmp_path / "o"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and message in err
+    assert not out.exists()
+
+
 def test_bench_deterministic_across_runs_and_workers(config_path, tmp_path):
     out1, out2, out3 = (tmp_path / n for n in ("b1", "b2", "b3"))
     for out, workers in ((out1, None), (out2, None), (out3, "2")):
@@ -318,15 +351,19 @@ def test_grid_writes_cells_and_prints_argmin(config_path, tmp_path, capsys):
     assert rows[0] == ["a", "c", "sigma", "rmse_opt_gap"]
     assert len(rows) - 1 == 2  # two cells, one noise level
     printed = capsys.readouterr().out
-    assert "selected a=0.001 c=0.5" in printed
+    assert printed.startswith(f"wrote {out / 'grid.csv'} (2 cells; selected a=0.001 c=0.5 ")
+    assert printed.count("\n") == 1
 
 
-def test_grid_without_section_exits_2(tmp_path):
+def test_grid_without_section_exits_2(tmp_path, capsys):
     cfg = "\n".join(line for line in QUARTIC_CFG.splitlines()
                     if not line.startswith(("[grid]", "a_values", "c_values")))
     path = tmp_path / "nogrid.cfg"
     path.write_text(cfg)
-    assert main(["grid", "--config", str(path), "--out", str(tmp_path)]) == 2
+    out = tmp_path / "o"
+    assert main(["grid", "--config", str(path), "--out", str(out)]) == 2
+    assert "configuration error: `grid` needs a [grid] section" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_estimate_writes_diagnostics(config_path, tmp_path):
@@ -352,18 +389,29 @@ def test_estimate_noiseless_quartic_diagnostics(tmp_path):
     assert intercept == pytest.approx(4.0, abs=1e-3)
 
 
+_NOISELESS = {"noise_levels = 0.5": "noise_levels = 0", "sigma = 0.5": "sigma = 0"}
+
+
 # Valid configs whose within-pilot variance overflows: sigma2_hat becomes nan
-# or inf. The plug-in step must fail there, not pass a NaN gradient on to the
-# oracle (which then blames the objective) or write NaN cells. The overflow
+# or inf, and the plug-in step must fail. Without noise, a pilot spread whose
+# square underflows leaves a 0/0 slope behind a fallback c_hat, and the
+# gradient check must fail. Neither may pass a NaN gradient on to the oracle
+# (which then blames the objective) or write NaN cells. The overflow and 0/0
 # warnings themselves are still raised.
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("command", ["bench", "estimate"])
-@pytest.mark.parametrize("edits", [
-    {"R = 10": "R = 10\nc_base = 1e-200"},
-    {"R = 10": "R = 10\nc_base = 1e-160"},
-    {"noise_levels = 0.5": "noise_levels = 1e160", "sigma = 0.5": "sigma = 1e160"},
-], ids=["c_base-1e-200", "c_base-1e-160", "noise-1e160"])
-def test_overflowing_corcfd_estimate_exits_1(tmp_path, capsys, command, edits):
+@pytest.mark.parametrize("edits, message", [
+    ({"R = 10": "R = 10\nc_base = 1e-200"}, "optimal perturbation"),
+    ({"R = 10": "R = 10\nc_base = 1e-160"}, "optimal perturbation"),
+    ({"noise_levels = 0.5": "noise_levels = 1e160", "sigma = 0.5": "sigma = 1e160"},
+     "optimal perturbation"),
+    ({**_NOISELESS, "R = 10": "R = 10\nc_base = 1e-100"},
+     "Cor-CFD gradient is not finite at coordinate 0: nan"),
+    ({**_NOISELESS, "R = 10": "R = 10\nc_base = 1e-200"},
+     "Cor-CFD gradient is not finite at coordinate 0: nan"),
+], ids=["c_base-1e-200", "c_base-1e-160", "noise-1e160", "noiseless-c_base-1e-100",
+        "noiseless-c_base-1e-200"])
+def test_overflowing_corcfd_estimate_exits_1(tmp_path, capsys, command, edits, message):
     cfg = QUARTIC_CFG
     for line, bad in edits.items():
         cfg = cfg.replace(line, bad)
@@ -372,7 +420,7 @@ def test_overflowing_corcfd_estimate_exits_1(tmp_path, capsys, command, edits):
     out = tmp_path / "o"
     assert main([command, "--config", str(path), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert "optimal perturbation" in err and "objective returned" not in err
+    assert message in err and "objective returned" not in err
     assert not out.exists()
 
 

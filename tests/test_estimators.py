@@ -48,6 +48,8 @@ def test_cfd_pair_rejects_nonpositive_c():
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="perturbation"):
             CfdConfig(1, bad)
+    with pytest.raises(ValueError, match="batch_pairs must be >= 1"):
+        CfdConfig(0, 0.1)
 
 
 def _cfd_pair_reference(oracle, x, coord, c):
@@ -143,6 +145,8 @@ def test_optimal_c_degenerate_inputs():
         # in an array, the first bad entry is named
         with pytest.raises(DegenerateInputError, match=message):
             optimal_c(np.array([1.0, sigma2, 0.0]), np.array([6.0, mu3, 6.0]), 10)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        optimal_c(1.0, 1.0, 0)
 
 
 def test_optimal_c_float_or_array():

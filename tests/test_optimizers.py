@@ -35,6 +35,8 @@ def test_batch_schedule_validation():
         batch_schedule(15, 10, 0)
     with pytest.raises(ValueError):
         batch_schedule(10, 10, -1)
+    with pytest.raises(ValueError, match="n0 and R must be >= 1"):
+        batch_schedule(0, 1, 0)
 
 
 def test_batch_schedule_monotone_and_bounded():
@@ -140,6 +142,8 @@ def test_kw_budget_accounting():
     assert o.eval_counter == 200
     assert traj.evaluations[-1] == 200
     assert traj.iterates.shape == (101, 1)  # starting point plus one per pair
+    with pytest.raises(ValueError, match="budget must be at least one pair"):
+        kw_run(o, DOMAIN, 5.0, GainSchedule(0.1, 1.0), 0)
 
 
 def test_kw_noiseless_quadratic_contracts():
@@ -248,6 +252,8 @@ def test_spsa_budget_accounting():
     assert o.eval_counter == 100
     assert traj.iterates.shape == (51, 3)
     assert traj.evaluations[-1] == 100
+    with pytest.raises(ValueError, match="budget must be at least one pair"):
+        spsa_run(o, dom, np.ones(3), GainSchedule(0.1, 0.5), 0, np.random.default_rng(0))
 
 
 def test_spsa_iterates_stay_feasible():

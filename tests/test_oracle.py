@@ -286,6 +286,12 @@ def test_dimension_mismatch_raises():
         o.evaluate(np.ones(3))
     with pytest.raises(ValueError):
         o.evaluate_batch(np.ones((1, 5)), 2)
+    with pytest.raises(ValueError, match="dimension mismatch: expected 4, got 3"):
+        as_point(np.ones(3), 4)
+    with pytest.raises(ValueError, match=re.escape("a 1-d vector, got shape (1, 4)")):
+        as_point(np.ones((1, 4)), 4)
+    with pytest.raises(ValueError, match="dimension must be >= 1"):
+        NoisyOracle(fn213_mean, 0)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
