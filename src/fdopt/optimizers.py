@@ -188,6 +188,9 @@ def spsa_run(oracle: NoisyOracle, domain: BoxDomain, x0, schedule: GainSchedule,
     reciprocal of a sign vector is itself), and takes a projected step with
     ``a_k = a/(A+k+1)^0.602``, ``c_k = c/(k+1)^0.101``. Step ``k`` is stamped
     ``2k`` evaluations; ``RuntimeError`` if the oracle counted any other number.
+    Both probes of a step are observed with one ``evaluate_batch(probes, 2)``
+    call on a ``(2, d)`` stack, so ``mean_fn`` must map stacks; the values
+    equal those of two ``evaluate`` calls bit for bit.
 
     ``keep``, increasing pair budgets in ``[1, budget_pairs]``, limits the
     trajectory to ``x_0`` and the iterates at those budgets, equal bit for bit
@@ -213,8 +216,10 @@ def spsa_run(oracle: NoisyOracle, domain: BoxDomain, x0, schedule: GainSchedule,
     bound = max(float(np.abs(lower).max()), float(np.abs(upper).max()))
     limit = math.nextafter(sys.float_info.max - bound, -math.inf)
     a, c, A = schedule.a, schedule.c, schedule.stability(budget_pairs)
-    evaluate = oracle.evaluate
+    evaluate_batch = oracle.evaluate_batch
     start = oracle.eval_counter
+    probes = np.empty((2, d))  # x + c_k delta and x - c_k delta, one oracle call
+    plus, minus = probes
     xs = np.empty((len(kept), d))
     xs[0] = x
     marks = iter(kept[1:].tolist())
@@ -228,8 +233,11 @@ def spsa_run(oracle: NoisyOracle, domain: BoxDomain, x0, schedule: GainSchedule,
             a_k = a / (A + k + 1) ** 0.602
             c_k = c / (k + 1) ** 0.101
             cd = c_k * delta
+            np.add(x, cd, out=plus)
+            np.subtract(x, cd, out=minus)
+            (y_plus,), (y_minus,) = evaluate_batch(probes, 2).tolist()
             # a_k * (q * delta) == (a_k * q) * delta bit for bit: delta is +-1.
-            s = a_k * ((evaluate(x + cd) - evaluate(x - cd)) / (2.0 * c_k))
+            s = a_k * ((y_plus - y_minus) / (2.0 * c_k))
             step = x - s * delta
             if not abs(s) <= limit and not np.isfinite(step).all():
                 raise ValueError("point has non-finite coordinates")

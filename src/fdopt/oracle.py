@@ -76,7 +76,8 @@ class NoisyOracle:
     Each ``evaluate`` call increments the evaluation counter by exactly one;
     ``evaluate_batch`` charges one per observation it returns, with the noise
     stream of as many single calls. A NaN or infinite mean value raises
-    ``ValueError`` naming the value and the point.
+    ``ValueError`` naming the value and the point. SPSA observes both probes
+    of a step with one ``evaluate_batch(probes, 2)`` call.
 
     ``mean_fn`` maps one point to a float and an ``(m, d)`` stack of points
     to an ``(m,)`` array, equal row for row: ``evaluate`` passes it a point
@@ -131,7 +132,9 @@ class NoisyOracle:
         ``(m, size // m)`` array whose row ``i`` holds the observations at
         ``x[i]``. ``size`` is the total over the stack and must be a multiple
         of ``m``. The draws equal those of ``size`` single calls, point after
-        point.
+        point. With one observation per point (``size == m``), the rows then
+        take ``evaluate``'s steps one by one, which is cheaper for a few rows;
+        a non-finite row raises after the rows before it drew their normals.
         """
         stack = np.asarray(x, dtype=float)
         if stack.ndim != 2:
@@ -148,6 +151,18 @@ class NoisyOracle:
         mu = np.asarray(self._mean_fn(stack), dtype=float)
         if mu.shape != (m,):
             raise ValueError(f"mean_fn returned shape {mu.shape} for {m} points")
+        if size == m:  # one observation per point: evaluate's steps, row by row
+            ys = mu.tolist()
+            for i, y in enumerate(ys):
+                if not math.isfinite(y):
+                    _reject_non_finite(y, stack[i])
+                if self.noise_sigma:
+                    z = next(self._ahead, None)
+                    if z is None:
+                        self._ahead = iter(self._rng.standard_normal(_AHEAD).tolist())
+                        z = next(self._ahead)
+                    ys[i] = y + self.noise_sigma * z
+            return np.array(ys)[:, None]
         finite = np.isfinite(mu)
         if not finite.all():
             i = int(np.argmin(finite))

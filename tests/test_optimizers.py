@@ -233,6 +233,10 @@ class _DoubleChargingOracle(NoisyOracle):
         self._count += 1
         return super().evaluate(x)
 
+    def evaluate_batch(self, x, size):
+        self._count += size
+        return super().evaluate_batch(x, size)
+
 
 def test_kw_rejects_an_oracle_count_other_than_two_per_pair():
     o = _DoubleChargingOracle(lambda x: float(x[0]) ** 2, 1)
@@ -245,7 +249,7 @@ def test_kw_rejects_an_oracle_count_other_than_two_per_pair():
 # ---------------------------------------------------------------------------
 
 def test_spsa_budget_accounting():
-    o = _oracle(lambda x: float(np.sum(np.square(x))), d=3)
+    o = _oracle(lambda x: np.add.reduce(np.square(x), axis=-1), d=3)
     dom = BoxDomain.interval(-5, 5, 3)
     traj = spsa_run(o, dom, np.ones(3), GainSchedule(0.1, 0.5, A=10),
                     50, np.random.default_rng(0))
@@ -257,7 +261,7 @@ def test_spsa_budget_accounting():
 
 
 def test_spsa_iterates_stay_feasible():
-    o = _oracle(lambda x: float(np.sum(np.square(x))), d=2, sigma=5.0, seed=4)
+    o = _oracle(lambda x: np.add.reduce(np.square(x), axis=-1), d=2, sigma=5.0, seed=4)
     dom = BoxDomain.interval(-2, 2, 2)
     traj = spsa_run(o, dom, np.array([1.5, -1.5]), GainSchedule(1.0, 0.5, A=0),
                     200, np.random.default_rng(5))
@@ -269,7 +273,7 @@ def test_spsa_estimator_mean_matches_gradient():
     # noiseless quadratic: the simultaneous-perturbation quotient is exact in
     # the step direction, and its mean over Bernoulli draws is the gradient.
     # Reconstruct per-iteration estimates from consecutive iterates.
-    mean_fn = lambda x: float(x[0]) ** 2 + 2.0 * float(x[1]) ** 2
+    mean_fn = lambda x: np.square(x[..., 0]) + 2.0 * np.square(x[..., 1])
     o = _oracle(mean_fn, d=2)
     dom = BoxDomain.interval(-10, 10, 2)
     m = 20_000
@@ -311,7 +315,7 @@ def _spsa_reference(oracle, domain, x0, schedule, budget_pairs, rng):
 
 
 def _quartic_bowl(x):
-    return float((x ** 4).sum())
+    return np.add.reduce(x ** 4, axis=-1)
 
 
 def _run_spsa(runner, d, sigma, budget, schedule=None, mean_fn=_quartic_bowl):
@@ -380,6 +384,36 @@ def test_spsa_rejects_an_oracle_count_other_than_two_per_pair():
                  10, np.random.default_rng(0))
 
 
+class _RecordingOracle(NoisyOracle):
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.calls = []
+
+    def evaluate(self, x):
+        self.calls.append(("evaluate", np.shape(x)))
+        return super().evaluate(x)
+
+    def evaluate_batch(self, x, size):
+        self.calls.append(("evaluate_batch", np.shape(x), size))
+        return super().evaluate_batch(x, size)
+
+
+@pytest.mark.parametrize("d", [1, 3, 64])
+def test_spsa_takes_both_probes_in_one_batch_call(d):
+    o = _RecordingOracle(_quartic_bowl, d, 1.0, 2)
+    spsa_run(o, BoxDomain.interval(-2, 2, d), np.zeros(d), GainSchedule(0.05, 0.5),
+             40, np.random.default_rng(0))
+    assert o.calls == [("evaluate_batch", (2, d), 2)] * 40
+    assert o.eval_counter == 80
+
+
+def test_spsa_rejects_a_point_only_mean_at_the_oracle():
+    o = _oracle(lambda x: float(np.sum(x ** 4)), d=3)
+    with pytest.raises(ValueError, match=r"mean_fn returned shape \(\) for 2 points"):
+        spsa_run(o, BoxDomain.interval(-2, 2, 3), np.zeros(3), GainSchedule(0.05, 0.5),
+                 10, np.random.default_rng(0))
+
+
 def test_spsa_non_finite_step_raises_like_reference():
     # a finite but huge gain on a steep linear objective overflows the first
     # step: a_1 * |g| = 1e308 / 2^0.602 * 1e10 = inf
@@ -388,7 +422,7 @@ def test_spsa_non_finite_step_raises_like_reference():
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(ValueError, match="non-finite coordinates"):
             _run_spsa(runner, 2, 0.0, 10, schedule=sched,
-                      mean_fn=lambda x: 1e10 * float(x[0]))
+                      mean_fn=lambda x: 1e10 * x[..., 0])
 
 
 def test_spsa_huge_finite_step_is_scanned_not_rejected():
@@ -401,7 +435,7 @@ def test_spsa_huge_finite_step_is_scanned_not_rejected():
     for d in (2, 64):
         runs = []
         for runner in (spsa_run, _spsa_reference):
-            o = _oracle(lambda x: float(x[0]), d=d)
+            o = _oracle(lambda x: x[..., 0], d=d)
             runs.append(runner(o, BoxDomain.interval(-1e308, 1e308, d), np.zeros(d),
                                sched, 5, np.random.default_rng(d)))
         traj, ref = runs
@@ -422,7 +456,7 @@ def test_spsa_on_an_infinite_box_scans_every_step(sigma):
     assert np.array_equal(runs[0].iterates, runs[1].iterates)
     assert np.array_equal(runs[0].evaluations, runs[1].evaluations)
     for runner in (spsa_run, _spsa_reference):
-        o = _oracle(lambda x: 1e10 * float(x[0]), d=3)
+        o = _oracle(lambda x: 1e10 * x[..., 0], d=3)
         with np.errstate(over="ignore"), \
                 pytest.raises(ValueError, match="non-finite coordinates"):
             runner(o, dom, np.zeros(3), GainSchedule(1e308, 0.5), 10,
@@ -443,7 +477,7 @@ def test_spsa_overflow_bound_is_rounded_down():
     # probes exact; x_0 is the bound that the step moves away from.
     x0 = np.array([-M * delta[0] * delta[1], 0.0])
     for runner in (spsa_run, _spsa_reference):
-        o = _oracle(lambda x: 4.0 * float(x[1]), d=2)
+        o = _oracle(lambda x: 4.0 * x[..., 1], d=2)
         with np.errstate(over="ignore"), \
                 pytest.raises(ValueError, match="non-finite coordinates"):
             runner(o, BoxDomain.interval(-M, M, 2), x0, GainSchedule(a, 0.5), 3,
@@ -463,7 +497,7 @@ def test_spsa_stored_iterates_share_no_memory():
 
 
 def test_spsa_non_finite_objective_raises_at_oracle():
-    o = _oracle(lambda x: float("nan") if abs(x[0]) < 1 else 1.0, d=2)
+    o = _oracle(lambda x: np.where(np.abs(x[..., 0]) < 1, np.nan, 1.0), d=2)
     with pytest.raises(ValueError, match="non-finite value nan"):
         spsa_run(o, BoxDomain.interval(-5, 5, 2), np.array([0.5, 3.0]),
                  GainSchedule(0.1, 0.5), 50, np.random.default_rng(0))

@@ -1,5 +1,6 @@
 """Tests for noisy oracles, test functions, and box projection."""
 
+import itertools
 import re
 
 import numpy as np
@@ -278,6 +279,49 @@ def test_stack_batch_names_the_non_finite_row(value):
     o = NoisyOracle(lambda x: np.where(x[..., 0] == 2.0, value, 1.0), 2, 1.0, seed=0)
     with pytest.raises(ValueError, match=rf"non-finite value {value} at point \[2\.0, 3\.0\]"):
         o.evaluate_batch(np.array([[1.0, 1.0], [2.0, 3.0], [2.0, 5.0]]), 6)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 2.5])
+def test_one_observation_per_point_equals_single_calls(sigma):
+    # Stacks of 1, 2 and 3 points, each observed once, run through three of
+    # the oracle's 128-normal blocks; a stack of 3 straddles each refill.
+    fn = get_test_function("fn213", 4)
+    a, b = fn.make_oracle(sigma, seed=13), fn.make_oracle(sigma, seed=13)
+    stream = np.random.default_rng(13)
+    points = np.random.default_rng(1).normal(size=(3 * _AHEAD + 7, 4))
+    i = 0
+    for m in itertools.cycle((1, 2, 3)):
+        if i + m > len(points):
+            break
+        x = points[i:i + m]
+        i += m
+        got = a.evaluate_batch(x, m)
+        assert got.shape == (m, 1)
+        singles = np.array([b.evaluate(p) for p in x])
+        assert np.array_equal(got[:, 0].view(np.uint64), singles.view(np.uint64))
+        want = [fn.mean_fn(p) + (sigma * stream.standard_normal() if sigma else 0.0)
+                for p in x]
+        assert got[:, 0].tolist() == want
+        assert a.eval_counter == b.eval_counter == i
+    assert i > 3 * _AHEAD
+    assert a._rng.bit_generator.state == b._rng.bit_generator.state
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_one_observation_per_point_names_the_non_finite_row(value):
+    def mean(x):
+        return np.where(x[..., 0] == 2.0, value, 1.0)
+    stack = np.array([[1.0, 1.0], [2.0, 3.0], [2.0, 5.0]])
+    a, b = NoisyOracle(mean, 2, 1.0, seed=0), NoisyOracle(mean, 2, 1.0, seed=0)
+    with pytest.raises(ValueError) as batch_error:
+        a.evaluate_batch(stack, 3)
+    assert b.evaluate(stack[0]) == 1.0 + np.random.default_rng(0).standard_normal()
+    with pytest.raises(ValueError) as single_error:
+        b.evaluate(stack[1])
+    assert str(batch_error.value) == str(single_error.value) == (
+        f"objective returned non-finite value {value} at point [2.0, 3.0]")
+    # The rows before it drew their normals, as single calls do.
+    assert a.evaluate(stack[0]) == b.evaluate(stack[0])
 
 
 def test_dimension_mismatch_raises():
