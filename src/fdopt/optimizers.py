@@ -190,7 +190,8 @@ def spsa_run(oracle: NoisyOracle, domain: BoxDomain, x0, schedule: GainSchedule,
     ``2k`` evaluations; ``RuntimeError`` if the oracle counted any other number.
     Both probes of a step are observed with one ``evaluate_batch(probes, 2)``
     call on a ``(2, d)`` stack, so ``mean_fn`` must map stacks; the values
-    equal those of two ``evaluate`` calls bit for bit.
+    equal those of two ``evaluate`` calls bit for bit. The stack is one
+    buffer overwritten at every step, so a mean that keeps it must copy it.
 
     ``keep``, increasing pair budgets in ``[1, budget_pairs]``, limits the
     trajectory to ``x_0`` and the iterates at those budgets, equal bit for bit
