@@ -14,7 +14,7 @@ REPS = 30
 
 for function, noise_levels in (("quartic", (0.1, 1.0)), ("cos100", (1.0, 10.0))):
     config = ExperimentConfig(
-        function=function, dimension=1, noise_levels=noise_levels,
+        function=function, noise_levels=noise_levels,
         x0=np.array([30.0]), domain=BoxDomain.interval(-50, 50),
         checkpoints=(100, 1000, 10000), replications=REPS, master_seed=20240817)
     print(f"== {function}, {REPS} replications, x0=30 ==")

@@ -17,11 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import metrics
 from .estimators import cor_cfd_gradient
-from .harness import (ExperimentConfig, apply_profile, grid_search_spsa,
-                      load_config, replication_seed, run_replications,
-                      run_trajectory)
+from .harness import (ExperimentConfig, apply_profile, grid_search_spsa, iterate_gaps,
+                      load_config, replication_streams, run_replications, run_trajectory)
 # The runners stay bound here because perfbench/layers.py patches them by name.
 from .optimizers import ConfigurationError, cor_cfd_gd_run, kw_run, spsa_run  # noqa: F401
 from .oracle import get_test_function
@@ -53,8 +51,7 @@ def cmd_run(config: ExperimentConfig):
     header = (["iter", "pairs_used"] + [f"x_{i + 1}" for i in range(fn.dimension)]
               + ["solution_gap", "optimality_gap"])
     # Row 0 is the starting point; every later iterate is within the budget.
-    rows = [[k, n_count / 2.0, *x, metrics.solution_gap(x, fn.optimum_point),
-             metrics.optimality_gap(fn.mean_fn(x), fn.optimum_value)]
+    rows = [[k, n_count / 2.0, *x, *iterate_gaps(fn, x)]
             for k, (x, n_count) in enumerate(
                 zip(traj.iterates[1:], traj.evaluations[1:]), start=1)]
     return ("trajectory.csv", header, rows,
@@ -96,10 +93,7 @@ def cmd_estimate(config: ExperimentConfig):
         raise ConfigurationError("`estimate` needs an [estimate] section")
     fn = get_test_function(config.function, config.dimension)
     est = config.estimate
-    oracle_seed, algo_seed = replication_seed(
-        config.master_seed, "estimate", 0, 0).spawn(2)
-    oracle = fn.make_oracle(est.sigma, oracle_seed)
-    rng = np.random.default_rng(algo_seed)
+    oracle, rng = replication_streams(fn, est.sigma, config.master_seed, "estimate")
     cfg = replace(config.corcfd, batch_pairs=est.n)  # checked when the config loaded
     grad = cor_cfd_gradient(oracle, est.point, cfg, rng)
     columns = (grad.c_hat, grad.sigma2_hat, grad.mu3_hat, grad.intercept, grad.g)

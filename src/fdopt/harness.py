@@ -56,24 +56,24 @@ class EstimateParams:
                 f"[estimate] sigma={self.sigma!r} must be finite and >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
     """One benchmark cell family: a function, noise levels, and algorithm blocks.
 
-    ``checkpoints`` are listed pair budgets; the effective budgets are the
-    listed values times the dimension. Cor-CFD-GD starts at
+    The dimension is the domain's. ``checkpoints`` are listed pair budgets; the
+    effective budgets are the listed values times the dimension. The defaults are
+    those of a config file that leaves the key out. Cor-CFD-GD starts at
     batch ``corcfd.batch_pairs`` with ``corcfd.pilot_count`` pilots. SPSA's
     stability constant defaults to 10% of the largest budget.
     """
 
     function: str
-    dimension: int
-    noise_levels: tuple[float, ...]
+    noise_levels: tuple[float, ...] = (1.0,)
     x0: np.ndarray
     domain: BoxDomain
-    checkpoints: tuple[int, ...]
-    replications: int
-    master_seed: int
+    checkpoints: tuple[int, ...] = (100, 1000, 10000)
+    replications: int = 1
+    master_seed: int = 0
     kw: GainSchedule = GainSchedule(1.0, 1.0)
     spsa: GainSchedule = GainSchedule(1e-9, 2.0, None)
     corcfd: CorCfdConfig = field(default_factory=CorCfdConfig)
@@ -120,9 +120,6 @@ class ExperimentConfig:
             raise ConfigurationError("x0 does not match the function dimension")
         if not np.isfinite(self.x0).all():
             raise ConfigurationError("x0 must have finite coordinates")
-        if self.domain.dimension != fn.dimension:
-            raise ConfigurationError(f"domain of dimension {self.domain.dimension} does "
-                                     f"not match the function dimension {fn.dimension}")
         if fn.dimension != 1 and "kw" in (self.algorithm, *self.algorithms):
             raise ConfigurationError(
                 f"kw needs a one-dimensional function, not dimension {fn.dimension}")
@@ -134,6 +131,10 @@ class ExperimentConfig:
             except ValueError as exc:
                 raise ConfigurationError(
                     f"invalid [estimate]/[corcfd] combination: {exc}") from exc
+
+    @property
+    def dimension(self) -> int:
+        return self.domain.dimension
 
     @property
     def effective_checkpoints(self) -> tuple[int, ...]:
@@ -178,6 +179,18 @@ def replication_seed(master_seed: int, algorithm: str, sigma_index: int,
         [int(master_seed), _ALGO_SEED_ID[algorithm], int(sigma_index), int(rep)])
 
 
+def replication_streams(fn, sigma, master_seed: int, key: str, sigma_index=0, rep=0):
+    """``fn``'s oracle at noise ``sigma`` and a replication's RNG, seeded in that order."""
+    oracle_seed, algo_seed = replication_seed(master_seed, key, sigma_index, rep).spawn(2)
+    return fn.make_oracle(sigma, oracle_seed), np.random.default_rng(algo_seed)
+
+
+def iterate_gaps(fn, x) -> tuple[float, float]:
+    """``(solution_gap, optimality_gap)`` of iterate ``x`` against ``fn``'s optimum."""
+    return (metrics.solution_gap(x, fn.optimum_point),
+            metrics.optimality_gap(fn.mean_fn(x), fn.optimum_value))
+
+
 def run_trajectory(config: ExperimentConfig, algorithm: str, sigma_index: int,
                    rep: int, keep=None):
     """One seeded run of ``algorithm`` to the largest budget; returns ``(fn, traj)``.
@@ -188,10 +201,8 @@ def run_trajectory(config: ExperimentConfig, algorithm: str, sigma_index: int,
     if algorithm not in ALGORITHMS:
         raise ConfigurationError(f"unknown algorithm {algorithm!r}")
     fn = get_test_function(config.function, config.dimension)
-    oracle_seed, algo_seed = replication_seed(
-        config.master_seed, algorithm, sigma_index, rep).spawn(2)
-    oracle = fn.make_oracle(config.noise_levels[sigma_index], oracle_seed)
-    rng = np.random.default_rng(algo_seed)
+    oracle, rng = replication_streams(fn, config.noise_levels[sigma_index],
+                                      config.master_seed, algorithm, sigma_index, rep)
     budget = config.largest_budget
     # Call the runners by their module-level names, not through a table built
     # at import: perfbench/layers.py traces runs by rebinding those names.
@@ -215,12 +226,8 @@ def _replication_gaps(config: ExperimentConfig, algorithm: str, sigma_index: int
     # Beyond 1-d only the checkpoint iterates are read; the settle index needs them all.
     keep = config.effective_checkpoints if config.dimension > 1 else None
     fn, traj = run_trajectory(config, algorithm, sigma_index, rep, keep)
-    sol = np.empty(len(config.effective_checkpoints))
-    opt = np.empty(len(config.effective_checkpoints))
-    for i, pairs in enumerate(config.effective_checkpoints):
-        x = traj.at_pair_budget(pairs)
-        sol[i] = metrics.solution_gap(x, fn.optimum_point)
-        opt[i] = metrics.optimality_gap(fn.mean_fn(x), fn.optimum_value)
+    sol, opt = np.array([iterate_gaps(fn, traj.at_pair_budget(pairs))
+                         for pairs in config.effective_checkpoints]).T
     settle = None
     if fn.dimension == 1:
         settle = metrics.oscillation_settle_index(
@@ -321,7 +328,7 @@ def _ints(raw: str) -> tuple[int, ...]:
 
 # Every accepted config-file key with its value parser, per section; anything
 # else is rejected. Defaults live on the dataclasses the sections fill, except
-# the [experiment] defaults in `_config_from_parser`.
+# the tiled [experiment] x0, lower and upper and `dimension`, the function's own.
 _KEYS = {
     "experiment": {"function": str, "dimension": int, "noise_levels": _floats,
                    "x0": _floats, "lower": _floats, "upper": _floats,
@@ -339,6 +346,7 @@ _KEYS = {
 # [corcfd] keys named differently from their CorCfdConfig field; the keys
 # that name ArmijoParams fields fill the line search instead.
 _CORCFD_FIELDS = {"n0": "batch_pairs", "R": "pilot_count", "c_base": "base_perturbation"}
+_EXPERIMENT_FIELDS = {"sigma": "run_sigma"}
 
 
 def _tile(values: tuple[float, ...], dimension: int, what: str) -> np.ndarray:
@@ -354,7 +362,7 @@ def load_config(path) -> ExperimentConfig:
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str  # keep keys case-sensitive: spsa `a` vs `A`
     try:
-        if not parser.read(str(path), encoding="utf-8"):
+        if not parser.read(str(path), encoding="utf-8-sig"):  # a BOM is not a key
             raise ConfigurationError(f"cannot read config file {path}")
         return _config_from_parser(parser)
     except (configparser.Error, KeyError, ValueError, TypeError) as exc:
@@ -381,7 +389,7 @@ def _config_from_parser(parser: configparser.ConfigParser) -> ExperimentConfig:
     exp = sections.get("experiment", {})
     if "function" not in exp:
         raise ConfigurationError("[experiment] must set `function`")
-    dimension = exp.get("dimension", 1)
+    dimension = exp.pop("dimension", get_test_function(exp["function"]).dimension)
 
     corcfd = {_CORCFD_FIELDS.get(k, k): v for k, v in sections.get("corcfd", {}).items()}
     armijo = {f.name: corcfd.pop(f.name) for f in fields(ArmijoParams)
@@ -396,16 +404,12 @@ def _config_from_parser(parser: configparser.ConfigParser) -> ExperimentConfig:
         point = _tile(estimate.pop("point", (0.0,)), dimension, "point")
         estimate = EstimateParams(point, **estimate)
 
+    x0, lower, upper = (_tile(exp.pop(key, (default,)), dimension, key)
+                        for key, default in (("x0", 0.0), ("lower", -50.0), ("upper", 50.0)))
     return ExperimentConfig(
-        function=exp["function"], dimension=dimension,
-        noise_levels=exp.get("noise_levels", (1.0,)),
-        x0=_tile(exp.get("x0", (0.0,)), dimension, "x0"),
-        domain=BoxDomain(_tile(exp.get("lower", (-50.0,)), dimension, "lower"),
-                         _tile(exp.get("upper", (50.0,)), dimension, "upper")),
-        checkpoints=exp.get("checkpoints", (100, 1000, 10000)),
-        replications=exp.get("replications", 1), master_seed=exp.get("master_seed", 0),
+        **{_EXPERIMENT_FIELDS.get(k, k): v for k, v in exp.items()},
+        x0=x0, domain=BoxDomain(lower, upper),
         kw=replace(ExperimentConfig.kw, **sections.get("kw", {})),
         spsa=replace(ExperimentConfig.spsa, **sections.get("spsa", {})),
         corcfd=CorCfdConfig(**corcfd), armijo=ArmijoParams(**armijo), grid=grid,
-        algorithm=exp.get("algorithm"), algorithms=exp.get("algorithms", ()),
-        run_sigma=exp.get("sigma"), estimate=estimate, workers=exp.get("workers", 1))
+        estimate=estimate)

@@ -37,7 +37,7 @@ def _report(criterion: str, ok: bool, detail: str, started: float,
 
 def _config_1d(function, noise_levels, replications):
     return ExperimentConfig(
-        function=function, dimension=1, noise_levels=noise_levels,
+        function=function, noise_levels=noise_levels,
         x0=np.array([30.0]), domain=DOMAIN_1D,
         checkpoints=(100, 1000, 10000), replications=replications,
         master_seed=ACCEPTANCE_SEED)
@@ -86,7 +86,7 @@ def test_criterion_3_cos100_orderings():
 
 def _fn213_config(replications):
     return ExperimentConfig(
-        function="fn213", dimension=64, noise_levels=(1.0,),
+        function="fn213", noise_levels=(1.0,),
         x0=np.tile([3.0, 1.0], 32), domain=BoxDomain.interval(-50, 50, 64),
         checkpoints=(1000,), replications=replications,
         master_seed=ACCEPTANCE_SEED)

@@ -152,6 +152,30 @@ def test_bench_unparsable_config_exits_2(tmp_path, capsys, text):
     assert not out.exists()
 
 
+def test_config_with_a_byte_order_mark_loads(tmp_path):
+    # Some editors save UTF-8 with a byte-order mark before the first header.
+    tables = []
+    for bom in (b"", b"\xef\xbb\xbf"):
+        path = tmp_path / "bom.cfg"
+        path.write_bytes(bom + QUARTIC_CFG.lstrip().encode())
+        assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 0
+        tables.append((tmp_path / "trajectory.csv").read_bytes())
+    assert tables[0] == tables[1]
+
+
+@pytest.mark.parametrize("function, x0, dimension",
+                         [("fn213", "3 1", 64), ("quartic", "30", 1), ("cos100", "30", 1)])
+def test_run_without_dimension_takes_the_functions_own(tmp_path, function, x0,
+                                                       dimension):
+    path = tmp_path / "min.cfg"
+    path.write_text(f"[experiment]\nfunction = {function}\nx0 = {x0}\n"
+                    "checkpoints = 1\nalgorithm = spsa\n")
+    assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 0
+    rows = _read(tmp_path / "trajectory.csv")
+    assert rows[0][2:-2] == [f"x_{i + 1}" for i in range(dimension)]
+    assert len(rows) - 1 == dimension  # one SPSA step per pair of a 1-pair-per-d budget
+
+
 def test_run_writes_trajectory(config_path, tmp_path):
     out = tmp_path / "out"
     assert main(["run", "--config", str(config_path), "--out", str(out)]) == 0

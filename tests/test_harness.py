@@ -8,7 +8,7 @@ import sys
 import textwrap
 import time
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +24,7 @@ from fdopt.oracle import BoxDomain
 
 def _small_config(**overrides):
     base = dict(
-        function="quartic", dimension=1, noise_levels=(0.5,),
+        function="quartic", noise_levels=(0.5,),
         x0=np.array([30.0]), domain=BoxDomain.interval(-50, 50),
         checkpoints=(20, 50), replications=3, master_seed=99,
     )
@@ -108,7 +108,7 @@ def test_a_64d_spsa_replication_holds_only_its_checkpoint_iterates():
     # fn213-spsa's shape at 16,000 pairs: every iterate would be 16,001 x 64
     # floats (8.2 MB), while the gaps read 3 of them.
     d = 64
-    config = _small_config(function="fn213", dimension=d, noise_levels=(1.0,),
+    config = _small_config(function="fn213", noise_levels=(1.0,),
                            x0=np.tile([3.0, 1.0], d // 2),
                            domain=BoxDomain.interval(-50, 50, d),
                            checkpoints=(10, 100, 250), replications=1,
@@ -186,7 +186,7 @@ def test_unknown_algorithm_rejected():
 
 def test_effective_budgets_scale_with_the_dimension():
     config = ExperimentConfig(
-        function="fn213", dimension=4, noise_levels=(1.0,),
+        function="fn213", noise_levels=(1.0,),
         x0=np.tile([3.0, 1.0], 2), domain=BoxDomain.interval(-50, 50, 4),
         checkpoints=(100, 200), replications=1, master_seed=0)
     assert config.effective_checkpoints == (400, 800)
@@ -206,7 +206,7 @@ def test_config_validation_errors():
         _small_config(x0=np.array([1.0, 2.0]))
     with pytest.raises(ConfigurationError, match="not one of noise_levels"):
         _small_config(run_sigma=2.0)
-    fn213 = dict(function="fn213", dimension=4, x0=np.tile([3.0, 1.0], 2),
+    fn213 = dict(function="fn213", x0=np.tile([3.0, 1.0], 2),
                  domain=BoxDomain.interval(-50, 50, 4))
     for listed in (dict(algorithm="kw"), dict(algorithms=("spsa", "kw"))):
         with pytest.raises(ConfigurationError, match="kw needs a one-dimensional "
@@ -225,7 +225,7 @@ def test_config_rejects_a_budget_below_the_first_corcfd_gradient():
         _small_config(checkpoints=(10, 21), **listed)
     _small_config(checkpoints=(5, 10), algorithm="kw", algorithms=("kw", "spsa"))
     # fn213 budgets are listed per dimension: 20 * 4 = 80 pairs < 4 * 20 + 1
-    fn213 = dict(function="fn213", dimension=4, x0=np.tile([3.0, 1.0], 2),
+    fn213 = dict(function="fn213", x0=np.tile([3.0, 1.0], 2),
                  domain=BoxDomain.interval(-50, 50, 4), algorithm="corcfd")
     with pytest.raises(ConfigurationError, match="budget of 80 pairs"):
         _small_config(**fn213, checkpoints=(20,))
@@ -233,11 +233,11 @@ def test_config_rejects_a_budget_below_the_first_corcfd_gradient():
 
 
 def test_config_rejects_a_domain_of_another_dimension():
-    with pytest.raises(ConfigurationError, match="domain of dimension 2 does not "
-                       "match the function dimension 1"):
+    # The domain fixes the dimension, so the function and x0 must fit it.
+    with pytest.raises(ValueError, match="quartic is one-dimensional"):
         _small_config(domain=BoxDomain.interval(-50, 50, 2))
-    with pytest.raises(ConfigurationError, match="domain of dimension 2"):
-        _small_config(function="fn213", dimension=4, x0=np.tile([3.0, 1.0], 2),
+    with pytest.raises(ConfigurationError, match="x0 does not match"):
+        _small_config(function="fn213", x0=np.tile([3.0, 1.0], 2),
                       domain=BoxDomain.interval(-50, 50, 2), algorithm="spsa")
 
 
@@ -352,6 +352,32 @@ def test_load_config_round_trip(tmp_path):
     assert config.corcfd.base_perturbation == 2.0 and config.armijo.l2 == 0.25
     assert config.estimate.n == 500
     assert np.array_equal(config.estimate.point, np.ones(8))
+
+
+def _same_field(a, b) -> bool:
+    if isinstance(a, BoxDomain):
+        return _same_field(a.lower, b.lower) and _same_field(a.upper, b.upper)
+    if isinstance(a, np.ndarray):  # the dataclass `==` cannot compare arrays
+        return a.dtype == b.dtype and np.array_equal(a, b)
+    return a == b
+
+
+def test_minimal_configs_load_with_the_documented_defaults(tmp_path):
+    path = tmp_path / "min.cfg"
+    path.write_text("[experiment]\nfunction = fn213\n")
+    config = load_config(path)
+    assert config.dimension == 64  # the function's own dimension
+    assert np.array_equal(config.x0, np.zeros(64))
+    assert _same_field(config.domain, BoxDomain.interval(-50, 50, 64))
+    assert config.effective_checkpoints == (6400, 64000, 640000)
+    assert (config.replications, config.master_seed, config.workers) == (1, 0, 1)
+
+    path.write_text("[experiment]\nfunction = quartic\n")
+    loaded = load_config(path)
+    built = ExperimentConfig(function="quartic", x0=np.zeros(1),
+                             domain=BoxDomain.interval(-50, 50))
+    for f in fields(ExperimentConfig):
+        assert _same_field(getattr(loaded, f.name), getattr(built, f.name)), f.name
 
 
 def test_load_config_missing_file(tmp_path):
