@@ -23,10 +23,6 @@ import numpy as np
 from .oracle import NoisyOracle, as_point
 
 
-class DegenerateInputError(ValueError):
-    """Raised when the optimal-perturbation formula has no interior minimizer."""
-
-
 @dataclass(frozen=True)
 class CfdConfig:
     """Plain batch CFD: ``batch_pairs`` quotients at a fixed perturbation."""
@@ -128,10 +124,9 @@ def optimal_c(sigma2, mu3, n: int):
 
     Minimizes ``mu3^2 c^4 / 36 + sigma2 / (2 n c^2)`` over ``c > 0``, for
     floats (giving a float) or arrays (elementwise); the power is libm's
-    ``pow``, as Python's ``**`` takes it. Raises :class:`DegenerateInputError`
-    unless every ``sigma2`` is finite and > 0 and every ``mu3`` finite and
-    nonzero (otherwise no interior minimum exists); callers fall back to a
-    pilot-based perturbation.
+    ``pow``, as Python's ``**`` takes it. Raises ``ValueError``, naming the
+    first bad pair, unless every ``sigma2`` is finite and > 0 and every
+    ``mu3`` finite and nonzero (otherwise no interior minimum exists).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -140,7 +135,7 @@ def optimal_c(sigma2, mu3, n: int):
     bad = ~((0.0 < sigma2) & (sigma2 < np.inf) & (mu3 != 0.0) & np.isfinite(mu3))
     if bad.any():
         i = bad.argmax()
-        raise DegenerateInputError(
+        raise ValueError(
             "optimal perturbation needs finite sigma2 > 0 and finite mu3 != 0, got "
             f"sigma2={float(sigma2.flat[i])!r}, mu3={float(mu3.flat[i])!r}")
     c = np.float_power(9.0 * sigma2 / (n * mu3 * mu3), 1.0 / 6.0)
@@ -265,7 +260,14 @@ def _cor_cfd_block(oracle: NoisyOracle, p: np.ndarray, coords: np.ndarray,
     fallback = (sigma2_hat <= 0.0) | (np.abs(mu3_hat) < _MU3_FLOOR) | unstable
     c_hat = np.exp(add(np.log(pilots), 1) / n_pilots)
     plug_in = ~fallback
-    c_hat[plug_in] = optimal_c(sigma2_hat[plug_in], mu3_hat[plug_in], n)
+    try:
+        c_hat[plug_in] = optimal_c(sigma2_hat[plug_in], mu3_hat[plug_in], n)
+    except ValueError as exc:  # a non-finite sigma2_hat or mu3_hat: name its stage
+        i = np.flatnonzero(plug_in & ~(np.isfinite(sigma2_hat) & np.isfinite(mu3_hat)))[0]
+        stage, value = (("curvature estimate", mu3_hat[i]) if np.isfinite(sigma2_hat[i])
+                        else ("within-pilot variance", sigma2_hat[i]))
+        raise ValueError(f"Cor-CFD {stage} is not finite at coordinate {int(coords[i])}: "
+                         f"{float(value)!r}; {exc}") from exc
     c_hat = np.minimum(np.maximum(c_hat, low / 10.0), 10.0 * high)
 
     # Recycle every quotient: match the regression mean at c_hat and rescale

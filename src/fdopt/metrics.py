@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 
@@ -69,15 +67,9 @@ def percentiles(values) -> tuple:
     """The 5th, 50th and 95th empirical percentiles, by the nearest-rank method.
 
     Returns the ``ceil(p * N)``-th order statistic for each ``p`` in
-    ``(0.05, 0.5, 0.95)``, so every returned value is an element of the input.
+    ``(0.05, 0.5, 0.95)``, so every returned value is an element of the input,
+    as a Python scalar. Numpy calls this rule ``inverted_cdf``.
     """
-    data = sorted(values)
-    n = len(data)
-    if n == 0:
+    if len(values) == 0:
         raise ValueError("percentiles of an empty list are undefined")
-    out = []
-    for p in (0.05, 0.5, 0.95):
-        rank = min(n, max(1, math.ceil(p * n)))
-        out.append(data[rank - 1])
-    return tuple(out)
-
+    return tuple(np.percentile(values, (5, 50, 95), method="inverted_cdf").tolist())

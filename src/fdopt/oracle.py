@@ -238,14 +238,12 @@ def fn213_mean(x):
 
 def get_test_function(name: str, dimension: int | None = None) -> TestFunction:
     """Look up a test function by string id: ``quartic``, ``cos100``, ``fn213``."""
-    if name == "quartic":
+    one_dimensional = {"quartic": (quartic_mean, 0.0), "cos100": (cos100_mean, -100.0)}
+    if name in one_dimensional:
         if dimension not in (None, 1):
-            raise ValueError("quartic is one-dimensional")
-        return TestFunction("quartic", 1, quartic_mean, np.zeros(1), 0.0)
-    if name == "cos100":
-        if dimension not in (None, 1):
-            raise ValueError("cos100 is one-dimensional")
-        return TestFunction("cos100", 1, cos100_mean, np.zeros(1), -100.0)
+            raise ValueError(f"{name} is one-dimensional")
+        mean_fn, optimum_value = one_dimensional[name]
+        return TestFunction(name, 1, mean_fn, np.zeros(1), optimum_value)
     if name == "fn213":
         d = 64 if dimension is None else int(dimension)
         if d < 2 or d % 2:

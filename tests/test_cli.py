@@ -417,25 +417,32 @@ _NOISELESS = {"noise_levels = 0.5": "noise_levels = 0", "sigma = 0.5": "sigma = 
 
 
 # Valid configs whose within-pilot variance overflows: sigma2_hat becomes nan
-# or inf, and the plug-in step must fail. Without noise, a pilot spread whose
-# square underflows leaves a 0/0 slope behind a fallback c_hat, and the
-# gradient check must fail. Neither may pass a NaN gradient on to the oracle
-# (which then blames the objective) or write NaN cells. The overflow and 0/0
-# warnings themselves are still raised.
+# or inf, and the plug-in step must fail naming that stage. With noise and
+# c_base = 1e-100 the pilots' squared spread underflows, the slope divides by
+# 0 and the curvature estimate is named. Without noise, that underflow leaves
+# a 0/0 slope behind a fallback c_hat, and the gradient check must fail. None
+# may pass a NaN gradient on to the oracle (which then blames the objective)
+# or write NaN cells. The overflow and 0/0 warnings themselves are still raised.
+_VARIANCE = ("Cor-CFD within-pilot variance is not finite at coordinate 0",
+             "optimal perturbation")
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("command", ["bench", "estimate"])
-@pytest.mark.parametrize("edits, message", [
-    ({"R = 10": "R = 10\nc_base = 1e-200"}, "optimal perturbation"),
-    ({"R = 10": "R = 10\nc_base = 1e-160"}, "optimal perturbation"),
+@pytest.mark.parametrize("edits, messages", [
+    ({"R = 10": "R = 10\nc_base = 1e-200"}, _VARIANCE),
+    ({"R = 10": "R = 10\nc_base = 1e-160"}, _VARIANCE),
     ({"noise_levels = 0.5": "noise_levels = 1e160", "sigma = 0.5": "sigma = 1e160"},
-     "optimal perturbation"),
+     _VARIANCE),
+    ({"R = 10": "R = 10\nc_base = 1e-100"},
+     ("Cor-CFD curvature estimate is not finite at coordinate 0", "optimal perturbation")),
     ({**_NOISELESS, "R = 10": "R = 10\nc_base = 1e-100"},
-     "Cor-CFD gradient is not finite at coordinate 0: nan"),
+     ("Cor-CFD gradient is not finite at coordinate 0: nan",)),
     ({**_NOISELESS, "R = 10": "R = 10\nc_base = 1e-200"},
-     "Cor-CFD gradient is not finite at coordinate 0: nan"),
-], ids=["c_base-1e-200", "c_base-1e-160", "noise-1e160", "noiseless-c_base-1e-100",
-        "noiseless-c_base-1e-200"])
-def test_overflowing_corcfd_estimate_exits_1(tmp_path, capsys, command, edits, message):
+     ("Cor-CFD gradient is not finite at coordinate 0: nan",)),
+], ids=["c_base-1e-200", "c_base-1e-160", "noise-1e160", "c_base-1e-100",
+        "noiseless-c_base-1e-100", "noiseless-c_base-1e-200"])
+def test_overflowing_corcfd_estimate_exits_1(tmp_path, capsys, command, edits, messages):
     cfg = QUARTIC_CFG
     for line, bad in edits.items():
         cfg = cfg.replace(line, bad)
@@ -444,7 +451,7 @@ def test_overflowing_corcfd_estimate_exits_1(tmp_path, capsys, command, edits, m
     out = tmp_path / "o"
     assert main([command, "--config", str(path), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert message in err and "objective returned" not in err
+    assert all(m in err for m in messages) and "objective returned" not in err
     assert not out.exists()
 
 

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from fdopt import estimators
-from fdopt.estimators import (CfdConfig, CorCfdConfig, DegenerateInputError,
-                              GradientEstimate, _quartile_spread,
-                              cfd_batch, cfd_pair,
+from fdopt.estimators import (CfdConfig, CorCfdConfig, GradientEstimate,
+                              _quartile_spread, cfd_batch, cfd_pair,
                               cor_cfd_coordinate, cor_cfd_gradient, optimal_c)
 from fdopt.oracle import NoisyOracle, get_test_function, quartic_mean
 
@@ -140,10 +139,10 @@ def test_optimal_c_degenerate_inputs():
                         (np.nan, 6.0), (np.inf, 6.0), (-np.inf, 6.0),
                         (1.0, np.nan), (1.0, np.inf), (1.0, -np.inf)]:
         message = f"got sigma2={sigma2!r}, mu3={mu3!r}"
-        with pytest.raises(DegenerateInputError, match=message):
+        with pytest.raises(ValueError, match=message):
             optimal_c(sigma2, mu3, 10)
         # in an array, the first bad entry is named
-        with pytest.raises(DegenerateInputError, match=message):
+        with pytest.raises(ValueError, match=message):
             optimal_c(np.array([1.0, sigma2, 0.0]), np.array([6.0, mu3, 6.0]), 10)
     with pytest.raises(ValueError, match="n must be >= 1"):
         optimal_c(1.0, 1.0, 0)

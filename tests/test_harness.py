@@ -1,8 +1,10 @@
 """Tests for replication orchestration, seeding, and config parsing."""
 
 import concurrent.futures
+import configparser
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -15,10 +17,11 @@ import numpy as np
 import pytest
 
 from fdopt import harness, metrics
+from fdopt.estimators import CorCfdConfig
 from fdopt.harness import (ExperimentConfig, GridSpec, apply_profile,
                            grid_search_spsa, load_config, replication_seed,
                            run_replications, run_trajectory)
-from fdopt.optimizers import ConfigurationError, GainSchedule
+from fdopt.optimizers import ArmijoParams, ConfigurationError, GainSchedule
 from fdopt.oracle import BoxDomain
 
 
@@ -234,8 +237,9 @@ def test_config_rejects_a_budget_below_the_first_corcfd_gradient():
 
 def test_config_rejects_a_domain_of_another_dimension():
     # The domain fixes the dimension, so the function and x0 must fit it.
-    with pytest.raises(ValueError, match="quartic is one-dimensional"):
-        _small_config(domain=BoxDomain.interval(-50, 50, 2))
+    for function in ("quartic", "cos100"):
+        with pytest.raises(ValueError, match=f"{function} is one-dimensional"):
+            _small_config(function=function, domain=BoxDomain.interval(-50, 50, 2))
     with pytest.raises(ConfigurationError, match="x0 does not match"):
         _small_config(function="fn213", x0=np.tile([3.0, 1.0], 2),
                       domain=BoxDomain.interval(-50, 50, 2), algorithm="spsa")
@@ -378,6 +382,26 @@ def test_minimal_configs_load_with_the_documented_defaults(tmp_path):
                              domain=BoxDomain.interval(-50, 50))
     for f in fields(ExperimentConfig):
         assert _same_field(getattr(loaded, f.name), getattr(built, f.name)), f.name
+
+
+def test_readme_config_lists_every_key_with_the_defaults(tmp_path):
+    # README says its ```ini example lists every section and key, and shows
+    # the [kw], [spsa] and [corcfd] defaults; [spsa] A shows what its default
+    # (10% of the largest pair budget) is for that example.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (example,) = re.findall(r"```ini\n(.*?)```", readme, re.S)
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.optionxform = str
+    parser.read_string(example)
+    assert ({name: set(parser[name]) for name in parser.sections()}
+            == {name: set(keys) for name, keys in harness._KEYS.items()})
+    path = tmp_path / "readme.cfg"
+    path.write_text(example)
+    config = load_config(path)
+    assert config.kw == ExperimentConfig.kw
+    default_a = ExperimentConfig.spsa.stability(config.largest_budget)
+    assert config.spsa == replace(ExperimentConfig.spsa, A=default_a)
+    assert config.corcfd == CorCfdConfig() and config.armijo == ArmijoParams()
 
 
 def test_load_config_missing_file(tmp_path):

@@ -107,6 +107,22 @@ def test_percentiles_return_observed_values():
         assert p in values
 
 
+def test_percentiles_match_the_nearest_rank_loop():
+    # The ceil(p * N)-th order statistic, with the input's own Python types.
+    def reference(values):
+        data = sorted(values)
+        return tuple(data[min(len(data), max(1, math.ceil(p * len(data)))) - 1]
+                     for p in (0.05, 0.5, 0.95))
+
+    rng = np.random.default_rng(3)
+    for n in range(1, 401):
+        for values in (rng.standard_normal(n).tolist(), rng.integers(0, 5, n).tolist(),
+                       range(n), [5000] * n):
+            got = percentiles(values)
+            assert got == reference(values)
+            assert [type(v) for v in got] == [type(v) for v in reference(values)]
+
+
 def test_percentiles_rejects_empty():
     with pytest.raises(ValueError):
         percentiles([])
